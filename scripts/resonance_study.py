@@ -33,7 +33,7 @@ def main(argv=None):
         p = problems.get_builtin(args.builtin)
 
     print(f"# {p.description or 'problem'}  n={p.n}")
-    header = "nx nt size sigma_min sigma_max assemble_s svd_s"
+    header = "nx nt size sigma_min sigma_max assemble_s sigma_s"
     if args.tau is not None:
         header += " kernel_dim"
     print(header)
@@ -44,7 +44,10 @@ def main(argv=None):
         t0 = time.perf_counter()
         matrix = fredholm.assemble(p, g, threads=args.threads)
         t1 = time.perf_counter()
-        sigma = fredholm.singular_spectrum(matrix)
+        if args.tau is None:
+            sigma = fredholm.singular_spectrum(matrix, fredholm.factor(matrix))
+        else:  # counting the values under tau takes all of them
+            sigma = fredholm.singular_spectrum(matrix)
         t2 = time.perf_counter()
         line = (
             f"{nx} {nt} {matrix.size} {sigma[-1]:.6e} {sigma[0]:.6e} "

@@ -263,9 +263,9 @@ def main(argv=None):
         ValidationError,
         ex.LexError,
         ex.ParseError,
-        ex.EvalError,
         fredholm.CapacityError,
-        fredholm.SpectrumError,
+        # evaluation, tracing, time inversion and spectrum failures
+        ArithmeticError,
         KeyError,
         OSError,
         ValueError,

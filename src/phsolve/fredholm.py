@@ -2,12 +2,17 @@
 
 The periodic problem is equivalent to u = Ku + Ff with K the sum of the
 four integral operators; collocating on the grid nodes gives a dense
-linear system A u = rhs with A = I - K.  The singular spectrum of A
-drives everything else: a clearly positive smallest singular value means
-the discrete problem is uniquely solvable, while singular values at
-discretization scale signal resonance.  In that case the report carries
-(numerical) kernel and cokernel bases, a truncated least-squares
-solution, and the solvability defect of the forcing.
+linear system A u = rhs with A = I - K.  The decision reads sigma_min
+against a threshold tau: a clearly positive smallest singular value
+means the discrete problem is uniquely solvable, while singular values
+at discretization scale signal resonance.
+
+The decision needs only the two edges of the spectrum, sigma_min and
+sigma_max (which scales the default tau), so it takes them from the LU
+factors of A by two Lanczos runs, and the unique branch solves with the
+same factors.  Only the resonant branch pays for a full SVD: its report
+carries (numerical) kernel and cokernel bases, a truncated
+least-squares solution, and the solvability defect of the forcing.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -16,11 +21,12 @@ condition that separates the two regimes, and grid-refinement studies.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, svd, svdvals
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svd, svdvals
 
 from . import expr as ex
 from .grid import Grid, GridFunction, sample_exprs, sup_norm
@@ -34,7 +40,7 @@ class CapacityError(ValueError):
 
 
 class SpectrumError(ArithmeticError):
-    """The SVD backend failed to converge."""
+    """The SVD or Lanczos backend failed to converge."""
 
 
 @dataclass
@@ -87,12 +93,60 @@ def assemble(p, grid, threads=1, caches=None, limit=DENSE_LIMIT):
     return OperatorMatrix(A, rhs, grid, p, caches)
 
 
-def singular_spectrum(matrix):
-    """All singular values of A, descending."""
+def factor(matrix):
+    """LU factors of A, for singular_spectrum and lu_solve.
+
+    An exactly singular A leaves a zero on the diagonal of U, which
+    singular_spectrum reads as sigma_min = 0; scipy's warning about that
+    pivot is silenced here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(matrix.A)
+
+
+def singular_spectrum(matrix, lu=None):
+    """Singular values of A, descending.
+
+    Without `lu`: all N values, from a dense SVD.  With the LU factors of
+    A (see `factor`): only the edges [sigma_max, sigma_min], each from one
+    implicitly restarted Lanczos run for the largest eigenvalue, of A^T A
+    through dense products and of (A^T A)^-1 = A^-1 A^-T through the
+    factors.  A zero pivot gives sigma_min = 0 without a run.
+    """
     try:
-        return svdvals(matrix.A)
+        if lu is None:
+            return svdvals(matrix.A)
+        return _edge_singular_values(matrix.A, lu)
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
+
+
+def _largest_eigenvalue(size, matvec):
+    # imported on first use: scipy.sparse adds about 0.08 s to the start of
+    # every process, and only the decision needs it
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    # a fixed start vector keeps reports reproducible; unlike all-ones, a
+    # seeded random one is not orthogonal to the wanted eigenvector when
+    # the problem has a symmetry
+    start = np.random.default_rng(0).standard_normal(size)
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
+
+
+def _edge_singular_values(a, lu):
+    size = a.shape[0]
+    sigma_max = math.sqrt(_largest_eigenvalue(size, lambda v: a.T @ (a @ v)))
+    if np.any(np.diagonal(lu[0]) == 0.0):
+        return np.array([sigma_max, 0.0])
+
+    def inverse_gram(v):
+        w = lu_solve(lu, v, trans=1, check_finite=False)
+        return lu_solve(lu, w, check_finite=False)
+
+    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(size, inverse_gram))
+    return np.array([sigma_max, sigma_min])
 
 
 def default_tolerance(sigma, size):
@@ -103,7 +157,7 @@ def default_tolerance(sigma, size):
 class FredholmReport:
     """Outcome of the discrete alternative for one problem and grid."""
 
-    sigma: np.ndarray
+    sigma: np.ndarray  # descending: the two edges (unique) or all N values
     tau: float
     unique: bool
     kernel_dim: int
@@ -125,11 +179,11 @@ def solve_alternative(p, grid, tau=None, threads=1, matrix=None):
     if matrix is None:
         matrix = assemble(p, grid, threads=threads)
     size = matrix.size
-    sigma = singular_spectrum(matrix)
+    lu = factor(matrix)
+    sigma = singular_spectrum(matrix, lu)
     if tau is None:
         tau = default_tolerance(sigma, size)
     if float(sigma[-1]) > tau:
-        lu = lu_factor(matrix.A)
         flat = lu_solve(lu, matrix.rhs)
         solution = GridFunction(grid, flat.reshape(p.n, grid.nx, grid.nt))
         res = residual(p, grid, solution, caches=matrix.caches)
@@ -137,6 +191,7 @@ def solve_alternative(p, grid, tau=None, threads=1, matrix=None):
         return FredholmReport(
             sigma, float(tau), True, 0, solution, res, None, empty, empty, matrix
         )
+    del lu  # an N x N copy the full SVD below can use
     try:
         left, s, right_t = svd(matrix.A)
     except Exception as err:
@@ -257,7 +312,8 @@ def convergence_study(p, grids, exact=None, tau=None, threads=1):
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            value = float(singular_spectrum(assemble(p, grid, threads=threads))[-1])
+            matrix = assemble(p, grid, threads=threads)
+            value = float(singular_spectrum(matrix, factor(matrix))[-1])
             exact_level = False
         order = None
         note = ""

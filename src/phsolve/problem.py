@@ -78,7 +78,7 @@ def _check_periodic(e, key):
 class ProblemSpec:
     """Validated coefficient set.
 
-    speeds[j]            advection speed of component j+1 (nonvanishing)
+    speeds[j]            advection speed of component j+1 (nonvanishing, one sign)
     coupling[j][k]       zero-order coupling of u_{k+1} into equation j+1
     volterra_kernels     kernels of the inner space integral
     boundary_inputs      coefficients of the opposite-endpoint traces
@@ -119,9 +119,11 @@ class ProblemSpec:
         for j, e in enumerate(self.speeds):
             key = f"a[{j + 1}]"
             _check_periodic(e, key)
-            vals = np.abs(np.broadcast_to(ex.evaluate(e, _VAL_X, _VAL_T), (31, 37)))
-            if float(vals.min()) <= 0.0:
+            vals = np.broadcast_to(ex.evaluate(e, _VAL_X, _VAL_T), (31, 37))
+            if float(np.abs(vals).min()) <= 0.0:
                 raise ValidationError("speed vanishes on the sample grid", key)
+            if float(vals.min()) < 0.0 < float(vals.max()):
+                raise ValidationError("speed changes sign on the sample grid", key)
         for j, e in enumerate(self.forcing):
             _check_periodic(e, f"f[{j + 1}]")
         for key, mat in (

@@ -37,7 +37,7 @@ def test_solve_unique_exit_zero(tmp_path, capsys):
     assert report["defect"] is None
     assert report["nx"] == 9 and report["nt"] == 8 and report["size"] == 72
     assert report["sigma_min"] > report["tau"]
-    assert len(report["spectrum"]) == 72
+    assert report["spectrum"] == [report["sigma_max"], report["sigma_min"]]
     assert set(report["timings"]) == {"assemble_s", "solve_s"}
     header, rows = read_csv(tmp_path, "solution.csv")
     assert header == ["j", "i", "q", "x", "t", "value"]
@@ -93,6 +93,16 @@ def test_solve_reports_are_reproducible(tmp_path):
     assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
 
 
+def test_solve_and_spectrum_agree_on_the_edges(tmp_path):
+    argv = ("--builtin", "manufactured-wellposed", "--nx", "17", "--nt", "16")
+    assert run(tmp_path, "solve", *argv) == 0
+    assert run(tmp_path, "spectrum", *argv) == 0
+    report = read_json(tmp_path, "report.json")
+    values = [float(row[1]) for row in read_csv(tmp_path, "spectrum.csv")[1]]
+    assert report["sigma_max"] == pytest.approx(values[0], rel=1e-10)
+    assert report["sigma_min"] == pytest.approx(values[-1], rel=1e-10)
+
+
 # --- failure paths ----------------------------------------------------------
 
 
@@ -125,6 +135,26 @@ def test_invalid_problem_data_exits_one(tmp_path, capsys):
     code = run(tmp_path, "solve", "--problem", str(path))
     assert code == 1
     assert "a[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "speed",
+    [
+        "x-0.51",  # changes sign between validation samples
+        "(x-0.25)^2",  # touches zero off the samples; the tracer hits it
+    ],
+)
+def test_degenerate_speed_exits_one(tmp_path, capsys, speed):
+    path = tmp_path / "degenerate.json"
+    data = to_dict(problems.pure_forcing())
+    data["a"] = [speed]
+    data["f"] = ["1"]
+    path.write_text(json.dumps(data))
+    code = run(tmp_path, "solve", "--problem", str(path), "--nx", "17", "--nt", "16")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_capacity_error_exits_one(tmp_path, capsys):

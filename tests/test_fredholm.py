@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, svdvals
 
 from phsolve import expr as ex
 from phsolve import fredholm as fr
@@ -122,6 +124,22 @@ def test_spectrum_invariant_under_component_relabeling():
     assert np.max(np.abs(s1 - s2)) <= 1e-10 * s1[0]
 
 
+@pytest.mark.parametrize("name", [name for name, _ in problems.list_builtins()])
+def test_decision_edges_match_full_spectrum(name):
+    p = problems.get_builtin(name)
+    grid = gr.Grid(17, 16)
+    matrix = fr.assemble(p, grid)
+    full = svdvals(matrix.A)
+    tau = fr.default_tolerance(full, matrix.size)
+    unique = bool(full[-1] > tau)
+    report = fr.solve_alternative(p, grid, matrix=matrix)
+    assert report.sigma.shape == ((2,) if unique else full.shape)
+    assert report.sigma[0] == pytest.approx(full[0], rel=1e-10)
+    assert report.sigma_min == pytest.approx(full[-1], rel=1e-10)
+    assert report.unique is unique
+    assert report.kernel_dim == (0 if unique else int(np.count_nonzero(full < tau)))
+
+
 def test_default_tolerance_formula():
     sigma = np.array([2.0, 1.0, 0.5])
     assert fr.default_tolerance(sigma, 300) == 100.0 * 300 * np.finfo(float).eps * 2.0
@@ -192,6 +210,19 @@ def test_dichotomy_depends_on_tolerance(resonant_problem, resonant_report):
     strict = fr.solve_alternative(resonant_problem, grid, tau=1e-8, matrix=matrix)
     assert strict.unique is True
     assert strict.kernel_dim == 0
+
+
+def test_exactly_singular_matrix_takes_resonant_branch():
+    # r = 1 makes every constant a fixed point: A has an exact zero pivot
+    p = build(r=[["1"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        report = fr.solve_alternative(p, gr.Grid(9, 8))
+    assert report.unique is False
+    assert report.kernel_dim == 1
+    assert report.sigma.shape == (72,)
+    assert report.sigma_min <= report.tau
+    assert report.defect == 0.0
 
 
 def test_sigma_min_property(resonant_report):

@@ -95,6 +95,13 @@ def test_vanishing_speed_rejected():
     assert "a[1]" in str(info.value)
 
 
+def test_sign_changing_speed_rejected():
+    # x - 0.51 misses every sample node, so only its sign gives it away
+    with pytest.raises(pb.ValidationError) as info:
+        pb.from_dict(minimal_data(a=["1", "x-0.51"]))
+    assert "a[2]" in str(info.value) and "sign" in str(info.value)
+
+
 def test_nonperiodic_coefficient_rejected():
     with pytest.raises(pb.ValidationError) as info:
         pb.from_dict(minimal_data(f=["t", "0"]))
