@@ -20,7 +20,6 @@ def main(argv=None):
     ap.add_argument("--nx", type=int, default=9, help="coarsest x nodes")
     ap.add_argument("--nt", type=int, default=8, help="coarsest t samples")
     ap.add_argument("--levels", type=int, default=3)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     p = problems.get_builtin("manufactured-wellposed")
@@ -31,7 +30,7 @@ def main(argv=None):
     for _ in range(args.levels):
         g = grid.Grid(nx, nt)
         t0 = time.perf_counter()
-        report = fredholm.solve_alternative(p, g, threads=args.threads)
+        report = fredholm.solve_alternative(p, g)
         wall = time.perf_counter() - t0
         if not report.unique:
             print(f"{nx} {nt} resonant at tau={report.tau:.3e}, stopping")

@@ -24,7 +24,6 @@ def main(argv=None):
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--tau", type=float, default=None,
                     help="also report kernel dimension at this threshold")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     if args.problem:
@@ -42,7 +41,7 @@ def main(argv=None):
     for _ in range(args.levels):
         g = grid.Grid(nx, nt)
         t0 = time.perf_counter()
-        matrix = fredholm.assemble(p, g, threads=args.threads)
+        matrix = fredholm.assemble(p, g)
         t1 = time.perf_counter()
         if args.tau is None:
             sigma = fredholm.singular_spectrum(matrix, fredholm.factor(matrix))

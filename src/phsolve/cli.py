@@ -29,7 +29,6 @@ def _add_common(sub, with_exact=False):
     sub.add_argument("--nx", type=int, default=33, help="space nodes (default 33)")
     sub.add_argument("--nt", type=int, default=32, help="time nodes (default 32)")
     sub.add_argument("--tau", type=float, default=None, help="kernel tolerance override")
-    sub.add_argument("--threads", type=int, default=1, help="assembly threads")
     sub.add_argument("--out", metavar="DIR", default=".", help="output directory")
     if with_exact:
         sub.add_argument(
@@ -121,7 +120,7 @@ def cmd_solve(args):
     p = _load_problem(args)
     grid = _grid(args)
     t0 = time.perf_counter()
-    matrix = fredholm.assemble(p, grid, threads=args.threads)
+    matrix = fredholm.assemble(p, grid)
     t1 = time.perf_counter()
     report = fredholm.solve_alternative(p, grid, tau=args.tau, matrix=matrix)
     t2 = time.perf_counter()
@@ -143,7 +142,7 @@ def cmd_spectrum(args):
     p = _load_problem(args)
     grid = _grid(args)
     t0 = time.perf_counter()
-    matrix = fredholm.assemble(p, grid, threads=args.threads)
+    matrix = fredholm.assemble(p, grid)
     sigma = fredholm.singular_spectrum(matrix)
     elapsed = time.perf_counter() - t0
     path = _outdir(args) / "spectrum.csv"
@@ -158,7 +157,7 @@ def cmd_spectrum(args):
 def cmd_kernel(args):
     p = _load_problem(args)
     grid = _grid(args)
-    report = fredholm.solve_alternative(p, grid, tau=args.tau, threads=args.threads)
+    report = fredholm.solve_alternative(p, grid, tau=args.tau)
     payload = {
         "nx": grid.nx,
         "nt": grid.nt,
@@ -210,7 +209,7 @@ def cmd_converge(args):
     p = _load_problem(args)
     exact = _parse_exact(args.exact, p.n)
     rows = fredholm.convergence_study(
-        p, _study_grids(args.nx, args.nt), exact=exact, tau=args.tau, threads=args.threads
+        p, _study_grids(args.nx, args.nt), exact=exact, tau=args.tau
     )
     path = _outdir(args) / "converge.csv"
     label = "error" if exact is not None else "sigma_min"

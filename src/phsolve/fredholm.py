@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +57,12 @@ class OperatorMatrix:
         return self.rhs.shape[0]
 
 
-def assemble(p, grid, threads=1, caches=None, limit=DENSE_LIMIT):
-    """Collocate I - K on the grid nodes, block-parallel over rows.
+def assemble(p, grid, caches=None, limit=DENSE_LIMIT):
+    """Collocate I - K on the grid nodes.
 
-    Blocks are independent (one per component and x-node) and write
-    disjoint row ranges, so the result is identical for any thread count.
+    Each block (component j, x-node i) fills its nt rows: one bincount
+    over the keys q * N + col sums the weights from stencil_block into
+    place.
     """
     n = p.n
     size = n * grid.nx * grid.nt
@@ -72,23 +72,18 @@ def assemble(p, grid, threads=1, caches=None, limit=DENSE_LIMIT):
         )
     if caches is None:
         caches = CurveCache(p, grid)
+    nt = grid.nt
     A = np.zeros((size, size))
     rhs = np.zeros(size)
-    blocks = [(j, i) for j in range(1, n + 1) for i in range(grid.nx)]
-
-    def fill(block):
-        j, i = block
-        K, const = stencil_block(p, grid, caches, j, i)
-        base = ((j - 1) * grid.nx + i) * grid.nt
-        A[base : base + grid.nt, :] = -K
-        rhs[base : base + grid.nt] = const
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
+    row_keys = np.arange(nt)[:, None] * size
+    for j in range(1, n + 1):
+        for i in range(grid.nx):
+            cols, weights, const = stencil_block(p, grid, caches, j, i)
+            base = ((j - 1) * grid.nx + i) * nt
+            # summing the negated weights gives -K bit for bit
+            minus_k = np.bincount((row_keys + cols).ravel(), -weights.ravel(), minlength=nt * size)
+            A[base : base + nt, :] = minus_k.reshape(nt, size)
+            rhs[base : base + nt] = const
     A[np.diag_indices(size)] += 1.0
     return OperatorMatrix(A, rhs, grid, p, caches)
 
@@ -173,11 +168,18 @@ class FredholmReport:
         return float(self.sigma[-1])
 
 
-def solve_alternative(p, grid, tau=None, threads=1, matrix=None):
+def solve_alternative(p, grid, tau=None, matrix=None):
     """Solve A u = rhs or, when A is numerically rank-deficient, report
-    the kernel data and a truncated least-squares solution."""
+    the kernel data and a truncated least-squares solution.
+
+    tau, when given, must be a number >= 0: singular values below it count
+    as zero.  A negative tau would let an exactly singular A through to
+    the solve.
+    """
+    if tau is not None and not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
     if matrix is None:
-        matrix = assemble(p, grid, threads=threads)
+        matrix = assemble(p, grid)
     size = matrix.size
     lu = factor(matrix)
     sigma = singular_spectrum(matrix, lu)
@@ -213,12 +215,16 @@ def solve_alternative(p, grid, tau=None, threads=1, matrix=None):
 
 def residual(p, grid, u, caches=None):
     """Sup norm of u - (Ku + Ff) over the grid nodes: how far u is from
-    satisfying the integral form of the problem."""
+    satisfying the integral form of the problem.  Raises ArithmeticError
+    when it is not finite, as when a curve's gain overflows."""
     if caches is None:
         caches = CurveCache(p, grid)
     total = apply_K(p, grid, u, caches)
     total.values += apply_F(p, grid, caches).values
-    return sup_norm(GridFunction(grid, u.values - total.values))
+    value = sup_norm(GridFunction(grid, u.values - total.values))
+    if not math.isfinite(value):
+        raise ArithmeticError(f"residual is {value}: the operator overflows on this grid")
+    return value
 
 
 @dataclass
@@ -295,7 +301,7 @@ def _check_refining(grids):
             )
 
 
-def convergence_study(p, grids, exact=None, tau=None, threads=1):
+def convergence_study(p, grids, exact=None, tau=None):
     """Refinement table: sup-norm error against an exact solution when
     one is supplied, otherwise the smallest singular value per grid."""
     _check_refining(list(grids))
@@ -307,12 +313,12 @@ def convergence_study(p, grids, exact=None, tau=None, threads=1):
     for nx, nt in grids:
         grid = Grid(nx, nt)
         if nodes is not None:
-            report = solve_alternative(p, grid, tau=tau, threads=threads)
+            report = solve_alternative(p, grid, tau=tau)
             target = sample_exprs(nodes, grid)
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            matrix = assemble(p, grid, threads=threads)
+            matrix = assemble(p, grid)
             value = float(singular_spectrum(matrix, factor(matrix))[-1])
             exact_level = False
         order = None

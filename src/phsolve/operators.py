@@ -3,13 +3,18 @@
 Every operator integrates along characteristic curves anchored at grid
 nodes.  A shared CurveCache traces each (component, x-node) pair once for
 all time nodes simultaneously; quadrature is composite trapezoid on the
-curve samples, with bilinear (x) and periodic-linear (t) interpolation
+curve samples, with linear (x) and periodic cubic (t) interpolation
 supplying off-grid values of the argument function.
 
-apply_* functions evaluate an operator against concrete grid values;
-stencil_block / stencil_row express the same linear maps as explicit
-weights on flattened node indices for matrix assembly.  Both paths share
-the cache and the coefficient evaluations, so they agree to rounding.
+The quadrature of each piece of K = R + B + G + H is written once, as a
+function of one block (component j, x-node i) that yields the block's
+weights in parts (cols, weights): equal-shaped arrays whose leading axis
+is the time-node row q, with weights[q, ...] acting on the flattened node
+indices cols[q, ...].  Forcing gives one constant per row.  The parts
+have two uses.  apply_* contracts them against concrete grid values one
+part at a time, so applying K never stores it.  stencil_block
+concatenates them into explicit weights, which assembly scatters into the
+dense matrix and stencil_row reads one row of.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ import numpy as np
 
 from . import expr as ex
 from .characteristics import DEFAULT_SUBSTEPS, trace_arrays
-from .grid import (
-    GridFunction,
-    cubic_t_stencil,
-    interp_t_rows_cubic,
-    interp_values_cubic_t,
-    locate_x,
-    zeros,
-)
+from .grid import cubic_t_stencil, locate_x, zeros
 
 
 @dataclass
@@ -66,11 +64,7 @@ def x_trapezoid(grid):
 
 
 class CurveCache:
-    """Memoized characteristic data per (component, x-node index).
-
-    Safe for concurrent use: keys are computed from immutable inputs, so
-    racing writers store identical values.
-    """
+    """Memoized characteristic data per (component, x-node index)."""
 
     def __init__(self, p, grid, substeps=DEFAULT_SUBSTEPS):
         self.p = p
@@ -137,116 +131,165 @@ def _boundary_column(p, grid, k):
     return grid.nx - 1 if p.opposite_side(k) == 1.0 else 0
 
 
+def _live(row, skip=None):
+    """Components k (from 1) whose coefficient in row is not zero."""
+    return [k for k in range(1, len(row) + 1) if k != skip and not ex.is_zero(row[k - 1])]
+
+
+def _along(caches, j, i):
+    """The curve of block (j, i) and its quadrature weights cw[q, s]
+    (signed trapezoid times integrating factor), or (None, None) when the
+    curve is a single point: the node lies on its own boundary side, where
+    every integral along the curve vanishes."""
+    cur = caches.curve(j, i)
+    if len(cur.xi) < 2:
+        return None, None
+    return cur, cur.trap[None, :] * cur.weight
+
+
+def _r_parts(p, grid, caches, j, i):
+    """R: the boundary kernels integrated over x against u at the curve's
+    exit time, transported along the curve by its gain.  Parts (nt, nx)."""
+    row = p.boundary_kernels[j - 1]
+    live = _live(row)
+    if not live:
+        return
+    nt, nx = grid.nt, grid.nx
+    cur = caches.curve(j, i)
+    om = cur.times[:, -1]
+    tq = cubic_t_stencil(grid, om)
+    scale = cur.gain[:, -1][:, None] * x_trapezoid(grid)[None, :]
+    for k in live:
+        coeff = scale * _eval_on(row[k - 1], grid.xs[None, :], om[:, None], (nt, nx))
+        base = (k - 1) * nx * nt + np.arange(nx)[None, :] * nt
+        for node in range(4):
+            yield base + tq[node][:, None], coeff * tq[4][node][:, None]
+
+
+def _b_parts(p, grid, caches, j, i):
+    """B: off-diagonal zero-order coupling integrated along the curve.
+    Parts (nt, S), one per x-neighbour and t-node of each sample."""
+    row = p.coupling[j - 1]
+    live = _live(row, skip=j)
+    if not live:
+        return
+    cur, cw = _along(caches, j, i)
+    if cur is None:
+        return
+    nt, nx = grid.nt, grid.nx
+    i0, thx = locate_x(grid, cur.xi)
+    tq = cubic_t_stencil(grid, cur.times)
+    wx0 = (1.0 - thx)[None, :]
+    wx1 = thx[None, :]
+    for k in live:
+        C = -cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
+        base = (k - 1) * nx * nt
+        c0 = base + i0[None, :] * nt
+        c1 = base + (i0 + 1)[None, :] * nt
+        for node in range(4):
+            qn = tq[node]
+            wn = tq[4][node]
+            yield c0 + qn, C * wx0 * wn
+            yield c1 + qn, C * wx1 * wn
+
+
+def _h_parts(p, grid, caches, j, i):
+    """H: each component's value at the end opposite to its prescribed
+    side, integrated along the curve.  Parts (nt, S)."""
+    row = p.boundary_inputs[j - 1]
+    live = _live(row)
+    if not live:
+        return
+    cur, cw = _along(caches, j, i)
+    if cur is None:
+        return
+    nt, nx = grid.nt, grid.nx
+    tq = cubic_t_stencil(grid, cur.times)
+    for k in live:
+        C = cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
+        base = (k - 1) * nx * nt + _boundary_column(p, grid, k) * nt
+        for node in range(4):
+            yield base + tq[node], C * tq[4][node]
+
+
+def _g_parts(p, grid, caches, j, i):
+    """G: the spatial integral (Volterra over [0, xi] or full-range) at
+    each curve sample, integrated along the curve.  Parts (nt, nx, nt),
+    one per component k: the weight on u_k(x_p, t_r), summed over the
+    curve samples that read it (by one matrix product with the cubic
+    t-interpolation).  Per t-node, the unsummed weights would take
+    (nt, S, nx), with each column repeated along the curve."""
+    row = p.volterra_kernels[j - 1]
+    live = _live(row)
+    if not live:
+        return
+    cur, cw = _along(caches, j, i)
+    if cur is None:
+        return
+    nt, nx = grid.nt, grid.nx
+    samples = len(cur.xi)
+    tq = cubic_t_stencil(grid, cur.times)
+    # interp[q, s, r]: weight of t-node r at sample time (q, s); the four
+    # nodes of one sample are distinct since nt >= 4
+    interp = np.zeros((nt, samples, nt))
+    for node in range(4):
+        interp[np.arange(nt)[:, None], np.arange(samples)[None, :], tq[node]] = tq[4][node]
+    wi = caches.inner_weights(j, i)
+    cols = np.broadcast_to(np.arange(nx * nt).reshape(1, nx, nt), (nt, nx, nt))
+    for k in live:
+        gv = _eval_on(row[k - 1], grid.xs[None, None, :], cur.times[:, :, None], (nt, samples, nx))
+        W3 = (-cw)[:, :, None] * wi[None, :, :] * gv
+        yield (k - 1) * nx * nt + cols, np.swapaxes(W3, 1, 2) @ interp
+
+
+# H before G: the order in which assembly sums a matrix entry's terms
+_PIECES = (_r_parts, _b_parts, _h_parts, _g_parts)
+
+
+def _forcing(p, grid, caches, j, i):
+    """F: the forcing integrated along the curve, one constant per row."""
+    fj = p.forcing[j - 1]
+    if ex.is_zero(fj):
+        return np.zeros(grid.nt)
+    cur, cw = _along(caches, j, i)
+    if cur is None:
+        return np.zeros(grid.nt)
+    fv = _eval_on(fj, cur.xi[None, :], cur.times, cur.times.shape)
+    return np.einsum("qs,qs->q", cw, fv)
+
+
+def _apply(pieces, p, grid, u, caches):
+    caches = caches if caches is not None else CurveCache(p, grid)
+    out = zeros(grid, p.n)
+    flat = u.values.reshape(-1)
+    for j in range(1, p.n + 1):
+        for i in range(grid.nx):
+            for piece in pieces:
+                for cols, w in piece(p, grid, caches, j, i):
+                    out.values[j - 1, i] += (w * flat[cols]).reshape(grid.nt, -1).sum(1)
+    return out
+
+
 def apply_R(p, grid, u, caches=None):
     """Boundary-integral operator: transport the integral boundary data
     from the component's own side along the curve."""
-    caches = caches if caches is not None else CurveCache(p, grid)
-    out = zeros(grid, p.n)
-    weta = x_trapezoid(grid)
-    for j in range(1, p.n + 1):
-        row = p.boundary_kernels[j - 1]
-        live = [k for k in range(1, p.n + 1) if not ex.is_zero(row[k - 1])]
-        if not live:
-            continue
-        for i in range(grid.nx):
-            cur = caches.curve(j, i)
-            om = cur.times[:, -1]
-            acc = np.zeros(grid.nt)
-            for k in live:
-                rv = _eval_on(
-                    row[k - 1], grid.xs[None, :], om[:, None], (grid.nt, grid.nx)
-                )
-                uk = interp_t_rows_cubic(grid, u.values[k - 1], om)
-                acc += (rv * uk) @ weta
-            out.values[j - 1, i, :] = cur.gain[:, -1] * acc
-    return out
+    return _apply((_r_parts,), p, grid, u, caches)
 
 
 def apply_B(p, grid, u, caches=None):
     """Off-diagonal zero-order coupling integrated along the curve."""
-    caches = caches if caches is not None else CurveCache(p, grid)
-    out = zeros(grid, p.n)
-    for j in range(1, p.n + 1):
-        row = p.coupling[j - 1]
-        live = [
-            k
-            for k in range(1, p.n + 1)
-            if k != j and not ex.is_zero(row[k - 1])
-        ]
-        if not live:
-            continue
-        for i in range(grid.nx):
-            cur = caches.curve(j, i)
-            if len(cur.xi) < 2:
-                continue
-            shape = cur.times.shape
-            total = np.zeros(shape)
-            for k in live:
-                bv = _eval_on(row[k - 1], cur.xi[None, :], cur.times, shape)
-                ukv = interp_values_cubic_t(
-                    grid, u.values[k - 1], cur.xi[None, :], cur.times
-                )
-                total += bv * ukv
-            cw = cur.trap[None, :] * cur.weight
-            out.values[j - 1, i, :] = -np.einsum("qs,qs->q", cw, total)
-    return out
+    return _apply((_b_parts,), p, grid, u, caches)
 
 
 def apply_G(p, grid, u, caches=None):
     """Spatial-integral (Volterra or full-range) terms along the curve."""
-    caches = caches if caches is not None else CurveCache(p, grid)
-    out = zeros(grid, p.n)
-    for j in range(1, p.n + 1):
-        row = p.volterra_kernels[j - 1]
-        live = [k for k in range(1, p.n + 1) if not ex.is_zero(row[k - 1])]
-        if not live:
-            continue
-        for i in range(grid.nx):
-            cur = caches.curve(j, i)
-            if len(cur.xi) < 2:
-                continue
-            wi = caches.inner_weights(j, i)
-            shape3 = cur.times.shape + (grid.nx,)
-            inner = np.zeros(cur.times.shape)
-            for k in live:
-                gv = _eval_on(
-                    row[k - 1],
-                    grid.xs[None, None, :],
-                    cur.times[:, :, None],
-                    shape3,
-                )
-                ukv = interp_t_rows_cubic(grid, u.values[k - 1], cur.times)
-                inner += np.einsum("qsp,sp->qs", gv * ukv, wi)
-            cw = cur.trap[None, :] * cur.weight
-            out.values[j - 1, i, :] = -np.einsum("qs,qs->q", cw, inner)
-    return out
+    return _apply((_g_parts,), p, grid, u, caches)
 
 
 def apply_H(p, grid, u, caches=None):
     """Boundary-value coupling: reads each component at the end opposite
     to its prescribed side, integrated along the curve."""
-    caches = caches if caches is not None else CurveCache(p, grid)
-    out = zeros(grid, p.n)
-    for j in range(1, p.n + 1):
-        row = p.boundary_inputs[j - 1]
-        live = [k for k in range(1, p.n + 1) if not ex.is_zero(row[k - 1])]
-        if not live:
-            continue
-        for i in range(grid.nx):
-            cur = caches.curve(j, i)
-            if len(cur.xi) < 2:
-                continue
-            shape = cur.times.shape
-            qs = cubic_t_stencil(grid, cur.times)
-            total = np.zeros(shape)
-            for k in live:
-                hv = _eval_on(row[k - 1], cur.xi[None, :], cur.times, shape)
-                edge = u.values[k - 1][_boundary_column(p, grid, k)]
-                btr = sum(edge[qs[node]] * qs[4][node] for node in range(4))
-                total += hv * btr
-            cw = cur.trap[None, :] * cur.weight
-            out.values[j - 1, i, :] = np.einsum("qs,qs->q", cw, total)
-    return out
+    return _apply((_h_parts,), p, grid, u, caches)
 
 
 def apply_F(p, grid, caches=None):
@@ -255,27 +298,14 @@ def apply_F(p, grid, caches=None):
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
     for j in range(1, p.n + 1):
-        fj = p.forcing[j - 1]
-        if ex.is_zero(fj):
-            continue
         for i in range(grid.nx):
-            cur = caches.curve(j, i)
-            if len(cur.xi) < 2:
-                continue
-            shape = cur.times.shape
-            fv = _eval_on(fj, cur.xi[None, :], cur.times, shape)
-            cw = cur.trap[None, :] * cur.weight
-            out.values[j - 1, i, :] = np.einsum("qs,qs->q", cw, fv)
+            out.values[j - 1, i] = _forcing(p, grid, caches, j, i)
     return out
 
 
 def apply_K(p, grid, u, caches=None):
     """Sum of the four linear operators."""
-    caches = caches if caches is not None else CurveCache(p, grid)
-    total = apply_R(p, grid, u, caches)
-    for fn in (apply_B, apply_G, apply_H):
-        total.values += fn(p, grid, u, caches).values
-    return total
+    return _apply(_PIECES, p, grid, u, caches)
 
 
 @dataclass
@@ -293,98 +323,27 @@ class Stencil:
 
 
 def stencil_block(p, grid, caches, j, i):
-    """All time-node rows of the linear map u -> (Ku)_j(x_i, .) as a dense
-    (nt, N) block, plus the forcing constants for those rows."""
-    nt, nx, n = grid.nt, grid.nx, p.n
-    ncols = n * nx * nt
-    K = np.zeros((nt, ncols))
-    const = np.zeros(nt)
-    cur = caches.curve(j, i)
-    rows = np.arange(nt)
+    """All time-node rows of the linear map u -> (Ku)_j(x_i, .) as weights
+    on flattened node indices, plus the forcing constants for those rows.
 
-    rrow = p.boundary_kernels[j - 1]
-    live_r = [k for k in range(1, n + 1) if not ex.is_zero(rrow[k - 1])]
-    if live_r:
-        weta = x_trapezoid(grid)
-        om = cur.times[:, -1]
-        tq = cubic_t_stencil(grid, om)
-        for k in live_r:
-            rv = _eval_on(rrow[k - 1], grid.xs[None, :], om[:, None], (nt, nx))
-            coeff = cur.gain[:, -1][:, None] * weta[None, :] * rv
-            base = (k - 1) * nx * nt + np.arange(nx)[None, :] * nt
-            for node in range(4):
-                np.add.at(
-                    K,
-                    (rows[:, None], base + tq[node][:, None]),
-                    coeff * tq[4][node][:, None],
-                )
-
-    if len(cur.xi) >= 2:
-        shape = cur.times.shape
-        cw = cur.trap[None, :] * cur.weight
-        i0, thx = locate_x(grid, cur.xi)
-        tq = cubic_t_stencil(grid, cur.times)
-
-        brow = p.coupling[j - 1]
-        for k in range(1, n + 1):
-            if k == j or ex.is_zero(brow[k - 1]):
-                continue
-            bv = _eval_on(brow[k - 1], cur.xi[None, :], cur.times, shape)
-            C = -cw * bv
-            base = (k - 1) * nx * nt
-            c0 = base + i0[None, :] * nt
-            c1 = base + (i0 + 1)[None, :] * nt
-            wx0 = (1.0 - thx)[None, :]
-            wx1 = thx[None, :]
-            for node in range(4):
-                qn = tq[node]
-                wn = tq[4][node]
-                np.add.at(K, (rows[:, None], c0 + qn), C * wx0 * wn)
-                np.add.at(K, (rows[:, None], c1 + qn), C * wx1 * wn)
-
-        hrow = p.boundary_inputs[j - 1]
-        for k in range(1, n + 1):
-            if ex.is_zero(hrow[k - 1]):
-                continue
-            hv = _eval_on(hrow[k - 1], cur.xi[None, :], cur.times, shape)
-            C = cw * hv
-            base = (k - 1) * nx * nt + _boundary_column(p, grid, k) * nt
-            for node in range(4):
-                np.add.at(K, (rows[:, None], base + tq[node]), C * tq[4][node])
-
-        grow = p.volterra_kernels[j - 1]
-        live_g = [k for k in range(1, n + 1) if not ex.is_zero(grow[k - 1])]
-        if live_g:
-            wi = caches.inner_weights(j, i)
-            shape3 = shape + (nx,)
-            for k in live_g:
-                gv = _eval_on(
-                    grow[k - 1],
-                    grid.xs[None, None, :],
-                    cur.times[:, :, None],
-                    shape3,
-                )
-                W3 = (-cw)[:, :, None] * wi[None, :, :] * gv
-                base = (k - 1) * nx * nt + np.arange(nx)[None, None, :] * nt
-                for node in range(4):
-                    np.add.at(
-                        K,
-                        (rows[:, None, None], base + tq[node][:, :, None]),
-                        W3 * tq[4][node][:, :, None],
-                    )
-
-        fj = p.forcing[j - 1]
-        if not ex.is_zero(fj):
-            fv = _eval_on(fj, cur.xi[None, :], cur.times, shape)
-            const[:] = np.einsum("qs,qs->q", cw, fv)
-
-    return K, const
+    Returns (cols, weights, const): cols and weights have shape (nt, M)
+    with row q holding the terms of (Ku)_j(x_i, t_q); a column may repeat
+    within a row, and its weights add.  const has shape (nt,).
+    """
+    nt = grid.nt
+    cols = [np.zeros((nt, 0), dtype=np.int64)]
+    weights = [np.zeros((nt, 0))]
+    for piece in _PIECES:
+        for c, w in piece(p, grid, caches, j, i):
+            cols.append(c.reshape(nt, -1))
+            weights.append(w.reshape(nt, -1))
+    const = _forcing(p, grid, caches, j, i)
+    return np.concatenate(cols, axis=1), np.concatenate(weights, axis=1), const
 
 
 def stencil_row(p, grid, caches, j, i, q):
     """The linear functional u -> (Ku)_j(x_i, t_q) with its forcing
-    constant, as accumulated weights on flattened node indices."""
-    K, const = stencil_block(p, grid, caches, j, i)
-    row = K[q]
-    idx = np.nonzero(row)[0]
-    return Stencil(idx, row[idx].copy(), float(const[q]))
+    constant, as accumulated weights on distinct flattened node indices."""
+    cols, weights, const = stencil_block(p, grid, caches, j, i)
+    idx, slot = np.unique(cols[q], return_inverse=True)
+    return Stencil(idx, np.bincount(slot, weights[q], minlength=idx.size), float(const[q]))

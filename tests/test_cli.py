@@ -1,8 +1,12 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from phsolve.cli import main
 from phsolve.problem import to_dict
@@ -157,6 +161,24 @@ def test_degenerate_speed_exits_one(tmp_path, capsys, speed):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_negative_tau_exits_one(tmp_path, capsys):
+    # exactly singular (every constant is a fixed point): a negative tau
+    # used to send it to the LU solve and write a NaN solution
+    path = tmp_path / "singular.json"
+    data = to_dict(problems.pure_forcing())
+    data["r"] = [["1"]]
+    data["f"] = ["1"]
+    path.write_text(json.dumps(data))
+    code = run(
+        tmp_path, "solve", "--problem", str(path), "--nx", "9", "--nt", "8", "--tau", "-1"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "tau" in err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_capacity_error_exits_one(tmp_path, capsys):
     code = run(tmp_path, "solve", "--builtin", "example13", "--nx", "81", "--nt", "128")
     assert code == 1
@@ -275,3 +297,72 @@ def test_list_builtins(capsys):
     for name, _ in problems.list_builtins():
         assert name in out
     assert "example13:" in out
+
+
+# --- property: any problem ends in an exit code and finite artifacts --------
+
+# speeds include near-degenerate ones: tiny, vanishing at an endpoint or
+# just inside, changing sign between validation samples, touching zero
+_SPEEDS = ["1", "-1", "-1-x/2", "2+sin(t)", "1e-3", "-1e-3", "x", "1-x", "x+1e-3",
+           "x-0.51", "(x-0.25)^2", "(x-0.26)^2"]
+_COEFFS = ["0", "1", "-1", "0.5*sin(t)", "x*cos(t)", "10"]
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.sampled_from([1, 2]))
+    entry = st.sampled_from(_COEFFS)
+    return {
+        "n": n,
+        "m": draw(st.integers(0, n)),
+        "a": draw(st.lists(st.sampled_from(_SPEEDS), min_size=n, max_size=n)),
+        **{
+            key: draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+            for key in "bghr"
+        },
+        "f": draw(st.lists(entry, min_size=n, max_size=n)),
+        "volterra": draw(st.booleans()),
+    }
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON value {name}")
+
+
+def _assert_finite_artifacts(out):
+    for path in out.iterdir():
+        if path.suffix == ".json":  # json writes NaN and inf as bare constants
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        elif path.suffix == ".csv":
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(values)), path.name
+
+
+_SINGULAR = {"n": 1, "m": 1, "a": ["1"], "b": [["0"]], "g": [["0"]], "h": [["0"]],
+             "r": [["1"]], "f": ["1"]}  # every constant is a fixed point
+_OVERFLOW = {**_SINGULAR, "a": ["1e-3"], "b": [["-1"]], "r": [["0"]]}  # gain e^1000
+
+
+@given(
+    problem=_problems(),
+    command=st.sampled_from(["solve", "kernel", "residual"]),
+    tau=st.sampled_from([None, "0", "1e-3", "-1"]),
+    nx=st.sampled_from([3, 5]),
+    nt=st.sampled_from([4, 8]),
+)
+@example(problem=_SINGULAR, command="solve", tau="-1", nx=9, nt=8)
+@example(problem=_OVERFLOW, command="residual", tau=None, nx=5, nt=4)
+def test_any_problem_exits_cleanly_with_finite_artifacts(problem, command, tau, nx, nt):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / "problem.json"
+        path.write_text(json.dumps(problem))
+        argv = [command, "--problem", str(path), "--nx", str(nx), "--nt", str(nt)]
+        if tau is not None:
+            argv += ["--tau", tau]
+        if command == "residual":
+            argv += ["--exact", ",".join(["x*sin(t)"] * problem["n"])]
+        code = main([*argv, "--out", str(out / "run")])
+        assert code in (0, 1, 2)
+        if (out / "run").exists():
+            _assert_finite_artifacts(out / "run")

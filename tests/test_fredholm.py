@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -51,14 +52,22 @@ def test_zero_problem_assembles_identity():
     assert np.max(np.abs(sigma - 1.0)) <= 1e-14
 
 
-def test_assembled_matrix_realizes_operator(manufactured_problem):
+@pytest.mark.parametrize(
+    "case", [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm"]
+)
+def test_assembled_matrix_realizes_operator(case, full_problem):
+    # the all-pieces problem is the only one with live R and G terms
+    if case in problems.BUILTINS:
+        p = problems.get_builtin(case)
+    else:
+        p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
     grid = gr.Grid(9, 8)
-    matrix = fr.assemble(manufactured_problem, grid)
+    matrix = fr.assemble(p, grid)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        u = gr.GridFunction(grid, rng.standard_normal((2, grid.nx, grid.nt)))
+        u = gr.GridFunction(grid, rng.standard_normal((p.n, grid.nx, grid.nt)))
         flat = u.values.reshape(-1)
-        ku = op.apply_K(manufactured_problem, grid, u, matrix.caches)
+        ku = op.apply_K(p, grid, u, matrix.caches)
         want = flat - ku.values.reshape(-1)
         assert np.max(np.abs(matrix.A @ flat - want)) <= 1e-12
 
@@ -76,14 +85,6 @@ def test_assembly_is_deterministic(manufactured_problem):
     second = fr.assemble(manufactured_problem, grid)
     assert np.array_equal(first.A, second.A)
     assert np.array_equal(first.rhs, second.rhs)
-
-
-def test_threaded_assembly_matches_serial(manufactured_problem):
-    grid = gr.Grid(9, 8)
-    serial = fr.assemble(manufactured_problem, grid, threads=1)
-    threaded = fr.assemble(manufactured_problem, grid, threads=3)
-    assert np.array_equal(serial.A, threaded.A)
-    assert np.array_equal(serial.rhs, threaded.rhs)
 
 
 def test_capacity_guard(manufactured_problem):
@@ -223,6 +224,18 @@ def test_exactly_singular_matrix_takes_resonant_branch():
     assert report.sigma.shape == (72,)
     assert report.sigma_min <= report.tau
     assert report.defect == 0.0
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan])
+def test_tau_below_zero_or_nan_rejected_before_factoring(monkeypatch, tau):
+    # with tau = -1 the exactly singular problem above used to take the
+    # unique branch and return a NaN solution
+    p = build(r=[["1"]], f=["1"])
+    grid = gr.Grid(9, 8)
+    matrix = fr.assemble(p, grid)
+    monkeypatch.setattr(fr, "factor", lambda _: pytest.fail("factored A"))
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        fr.solve_alternative(p, grid, tau=tau, matrix=matrix)
 
 
 def test_sigma_min_property(resonant_report):

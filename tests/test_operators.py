@@ -28,21 +28,6 @@ def build(n=1, m=1, **parts):
     return pb.from_dict(data)
 
 
-@pytest.fixture(scope="module")
-def full_problem():
-    """Every operator active, both boundary sides, a space-dependent speed."""
-    return build(
-        n=2,
-        m=1,
-        a=["1", "-1-x/2"],
-        b=[["0.1", "0.3*sin(t)"], ["0.2", "-0.1*cos(t)"]],
-        g=[["0.5", "0.1*cos(t)"], ["0.2*sin(x)", "0.3"]],
-        h=[["0.1", "0.2"], ["0.05*sin(t)", "0.1"]],
-        r=[["0.2", "0.1*sin(t)"], ["0", "0.3"]],
-        f=["sin(t)", "x*cos(t)"],
-    )
-
-
 def sample_pair(grid, sources):
     nodes = [ex.parse(s) for s in sources]
     return gr.sample_exprs(nodes, grid)
