@@ -31,7 +31,7 @@ DEFAULT_SUBSTEPS = 4
 
 
 class TraceError(ArithmeticError):
-    """Speed degenerated (|speed| < 1e-10) somewhere along the curve."""
+    """Speed degenerated (|speed| < 1e-10) or changed sign along the curve."""
 
 
 @dataclass
@@ -52,11 +52,14 @@ class CharacteristicCurve:
         return 0.0 if len(self.xi) < 2 else float(self.xi[1] - self.xi[0])
 
 
-def _speed_at(p, j, xi, om):
+def _speed_at(p, j, xi, om, sign=None):
+    """Speed of component j at (xi, om).  With sign (the speed's sign at
+    each anchor) a stage must keep that sign, not just stay off zero."""
     val = ex.evaluate(p.speeds[j - 1], xi, om)
-    if np.min(np.abs(val)) < SPEED_FLOOR:
+    if np.min(np.abs(val) if sign is None else val * sign) < SPEED_FLOOR:
         raise TraceError(
-            f"speed of component {j} degenerates near xi={float(np.atleast_1d(xi).flat[0]):.6g}"
+            f"speed of component {j} vanishes or changes sign near "
+            f"xi={float(np.atleast_1d(xi).flat[0]):.6g}"
         )
     return val
 
@@ -95,18 +98,21 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     times[:, 0] = t
     om = t.astype(float).copy()
     lg = np.zeros(nq)
+    sign = None
     for s in range(total):
         x0 = xi[s]
         xm = x0 + 0.5 * h
         x1 = xi[s + 1]
-        a1 = _speed_at(p, j, x0, om)
+        a1 = _speed_at(p, j, x0, om, sign)
+        if sign is None:  # the first stage sits on the anchors
+            sign = np.sign(a1)
         avals[:, s] = a1
         k1 = 1.0 / a1
-        a2 = _speed_at(p, j, xm, om + 0.5 * h * k1)
+        a2 = _speed_at(p, j, xm, om + 0.5 * h * k1, sign)
         k2 = 1.0 / a2
-        a3 = _speed_at(p, j, xm, om + 0.5 * h * k2)
+        a3 = _speed_at(p, j, xm, om + 0.5 * h * k2, sign)
         k3 = 1.0 / a3
-        a4 = _speed_at(p, j, x1, om + h * k3)
+        a4 = _speed_at(p, j, x1, om + h * k3, sign)
         k4 = 1.0 / a4
         if with_gain:
             l1 = ex.evaluate(diag, x0, om) * k1
@@ -117,7 +123,7 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
         om = om + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         times[:, s + 1] = om
         logc[:, s + 1] = lg
-    avals[:, -1] = _speed_at(p, j, xi_end, om)
+    avals[:, -1] = _speed_at(p, j, xi_end, om, sign)
     gain = np.exp(logc)
     weight = gain / avals
     return xi, times, gain, weight

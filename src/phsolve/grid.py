@@ -2,8 +2,10 @@
 
 Space nodes x_i = i/(nx-1) include both endpoints of [0, 1]; time nodes
 t_q = 2*pi*q/nt cover one period without duplicating the seam.  A grid
-function stores one (nx, nt) array per component.  Interpolation is linear
-in x and linear-periodic in t.
+function stores one (nx, nt) array per component; its flat layout is
+values.reshape(-1): component-major, then x, then t.  Off-grid values are
+interpolated linearly in x (locate_x) and by a periodic four-node cubic in
+t (cubic_t_stencil); the operators read both as weights on grid nodes.
 """
 
 from __future__ import annotations
@@ -123,33 +125,6 @@ def locate_t(grid, tq):
     return q0, q1 % grid.nt, theta
 
 
-def interp_values(grid, comp, xq, tq):
-    """Bilinear interpolation of one component array at arbitrary points.
-    xq and tq must broadcast against each other."""
-    xq, tq = np.broadcast_arrays(np.asarray(xq, float), np.asarray(tq, float))
-    i0, thx = locate_x(grid, xq)
-    q0, q1, tht = locate_t(grid, tq)
-    v00 = comp[i0, q0]
-    v10 = comp[i0 + 1, q0]
-    v01 = comp[i0, q1]
-    v11 = comp[i0 + 1, q1]
-    wx1 = thx
-    wx0 = 1.0 - thx
-    wt1 = tht
-    wt0 = 1.0 - tht
-    return wx0 * wt0 * v00 + wx1 * wt0 * v10 + wx0 * wt1 * v01 + wx1 * wt1 * v11
-
-
-def interp_t_all_rows(grid, comp, tq):
-    """Periodic linear t-interpolation of every x-row at the query times.
-    Returns an array of shape tq.shape + (nx,)."""
-    tq = np.asarray(tq, dtype=float)
-    q0, q1, tht = locate_t(grid, tq)
-    lo = np.moveaxis(comp[:, q0], 0, -1)
-    hi = np.moveaxis(comp[:, q1], 0, -1)
-    return lo * (1.0 - tht)[..., None] + hi * tht[..., None]
-
-
 def cubic_t_stencil(grid, tq):
     """Four-node periodic cubic Lagrange stencil in t.
 
@@ -174,75 +149,9 @@ def cubic_t_stencil(grid, tq):
     )
 
 
-def interp_t_rows_cubic(grid, comp, tq):
-    """Periodic cubic t-interpolation of every x-row at the query times.
-    Returns an array of shape tq.shape + (nx,)."""
-    tq = np.asarray(tq, dtype=float)
-    qm1, q0, q1, q2, w = cubic_t_stencil(grid, tq)
-    out = np.moveaxis(comp[:, qm1], 0, -1) * w[0][..., None]
-    out += np.moveaxis(comp[:, q0], 0, -1) * w[1][..., None]
-    out += np.moveaxis(comp[:, q1], 0, -1) * w[2][..., None]
-    out += np.moveaxis(comp[:, q2], 0, -1) * w[3][..., None]
-    return out
-
-
-def interp_values_cubic_t(grid, comp, xq, tq):
-    """Linear in x, periodic cubic in t; the interpolation used inside the
-    operator quadratures (one order better in t than interp_values, which
-    keeps oscillatory data from polluting curve integrals)."""
-    xq, tq = np.broadcast_arrays(np.asarray(xq, float), np.asarray(tq, float))
-    i0, thx = locate_x(grid, xq)
-    qm1, q0, q1, q2, w = cubic_t_stencil(grid, tq)
-    lo = (
-        comp[i0, qm1] * w[0]
-        + comp[i0, q0] * w[1]
-        + comp[i0, q1] * w[2]
-        + comp[i0, q2] * w[3]
-    )
-    i1 = i0 + 1
-    hi = (
-        comp[i1, qm1] * w[0]
-        + comp[i1, q0] * w[1]
-        + comp[i1, q1] * w[2]
-        + comp[i1, q2] * w[3]
-    )
-    return lo * (1.0 - thx) + hi * thx
-
-
-def interpolate(g, j, x, t):
-    """Interpolate component j (numbered from 1) at a single point."""
-    if not 1 <= j <= g.n:
-        raise RangeError(f"component index {j} outside 1..{g.n}")
-    out = interp_values(g.grid, g.values[j - 1], np.asarray(x, float), np.asarray(t, float))
-    return float(out)
-
-
 def sup_norm(g):
     """Max of |values| over all components and nodes."""
     return float(np.max(np.abs(g.values)))
-
-
-def flatten(j, i, q, grid, n=None):
-    """Flat index of component j (from 1), space node i, time node q.
-    Component-major, then space, then time."""
-    if j < 1 or (n is not None and j > n):
-        raise RangeError(f"component index {j} out of range")
-    if not 0 <= i < grid.nx:
-        raise RangeError(f"space index {i} outside 0..{grid.nx - 1}")
-    if not 0 <= q < grid.nt:
-        raise RangeError(f"time index {q} outside 0..{grid.nt - 1}")
-    return ((j - 1) * grid.nx + i) * grid.nt + q
-
-
-def unflatten(idx, grid, n=None):
-    """Inverse of flatten; returns (j, i, q) with j numbered from 1."""
-    if idx < 0 or (n is not None and idx >= n * grid.nx * grid.nt):
-        raise RangeError(f"flat index {idx} out of range")
-    q = idx % grid.nt
-    rest = idx // grid.nt
-    i = rest % grid.nx
-    j = rest // grid.nx + 1
-    return j, i, q
 
 
 def dump_csv(g, path):

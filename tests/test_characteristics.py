@@ -141,6 +141,15 @@ def test_trace_error_on_degenerate_speed():
         ch.trace(p, 1, 0.0, 0.0, 1.0, cells=4)
 
 
+def test_trace_error_on_speed_changing_sign_between_samples():
+    # positive at every validation sample, negative on (0.51, 0.52); no
+    # stage lands within the floor of a zero, so only the sign tells
+    p = one_component("(x-0.51)*(x-0.52)")
+    for x, xi_end in ((0.0, 1.0), (1.0, 0.0), (0.515, 1.0)):
+        with pytest.raises(ch.TraceError, match="changes sign"):
+            ch.trace_arrays(p, 1, x, np.array([0.0, 3.0]), xi_end, 128, 4)
+
+
 def test_invert_time_round_trip(wavy):
     x, t = 0.2, 1.0
     curve = ch.trace(wavy, 1, x, t, 0.9, cells=64)

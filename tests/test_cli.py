@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from phsolve.cli import main
+from phsolve.cli import HANDLERS, main
 from phsolve.problem import to_dict
 from phsolve import problems
 
@@ -146,6 +147,7 @@ def test_invalid_problem_data_exits_one(tmp_path, capsys):
     [
         "x-0.51",  # changes sign between validation samples
         "(x-0.25)^2",  # touches zero off the samples; the tracer hits it
+        "(x-0.51)*(x-0.52)",  # negative between samples; the tracer's sign check
     ],
 )
 def test_degenerate_speed_exits_one(tmp_path, capsys, speed):
@@ -366,3 +368,36 @@ def test_any_problem_exits_cleanly_with_finite_artifacts(problem, command, tau, 
         assert code in (0, 1, 2)
         if (out / "run").exists():
             _assert_finite_artifacts(out / "run")
+
+
+# --- README -----------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """Each `phsolve ...` line of README's "Command line" and "Experiments"
+    sections, once, in order."""
+    lines = []
+    section = None
+    for line in README.read_text().splitlines():
+        if line.startswith("## "):
+            section = line[3:].strip()
+        elif section in ("Command line", "Experiments") and line.startswith("    phsolve "):
+            lines.append(line.strip())
+    return list(dict.fromkeys(lines))
+
+
+def test_readme_shows_every_command():
+    shown = {shlex.split(line)[1] for line in readme_command_lines()}
+    assert shown == set(HANDLERS)
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(tmp_path, monkeypatch, line):
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    monkeypatch.chdir(tmp_path)  # commands without --out write to "."
+    resonant = argv[0] == "solve" and "example13" in argv
+    assert main(argv) == (2 if resonant else 0)

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from phsolve import expr as ex
 from phsolve import grid as gr
@@ -54,70 +52,48 @@ def test_sample_exprs_matches_pointwise_eval():
                 assert g.values[j, i, q] == want
 
 
-def test_interpolate_reproduces_nodes_exactly():
-    g = make_gf(9, 8)
-    grid = g.grid
-    for i in (0, 4, 8):
-        for q in (0, 3, 7):
-            got = gr.interpolate(g, 1, float(grid.xs[i]), float(grid.ts[q]))
-            assert got == g.values[0, i, q]
+def test_locate_x_snaps_node_hits():
+    # x_i * (nx-1) rounds to just below i at nx = 24 (i = 13) and just
+    # above it at nx = 26 (i = 7, 14)
+    for nx in (9, 24, 26):
+        grid = gr.Grid(nx, 8)
+        i0, theta = gr.locate_x(grid, grid.xs)
+        assert set(theta.tolist()) <= {0.0, 1.0}
+        assert np.array_equal(i0 + theta, np.arange(grid.nx))
 
 
-def test_interpolate_linear_in_x_is_exact():
-    g = make_gf(9, 8, fns=(lambda x, t: 2.0 * x - 1.0 + 0.0 * t,))
-    for x in (0.1, 0.37, 0.925):
-        got = gr.interpolate(g, 1, x, 0.0)
-        assert got == pytest.approx(2.0 * x - 1.0, abs=1e-14)
+def test_locate_x_reproduces_linear_functions():
+    grid = gr.Grid(9, 8)
+    vals = 2.0 * grid.xs - 1.0
+    xq = np.array([0.1, 0.37, 0.925])
+    i0, theta = gr.locate_x(grid, xq)
+    got = (1.0 - theta) * vals[i0] + theta * vals[i0 + 1]
+    assert np.max(np.abs(got - (2.0 * xq - 1.0))) <= 1e-14
 
 
-def test_interpolate_wraps_in_time():
-    g = make_gf(9, 8)
-    a = gr.interpolate(g, 1, 0.5, 0.3)
-    b = gr.interpolate(g, 1, 0.5, 0.3 + TWO_PI)
-    c = gr.interpolate(g, 1, 0.5, 0.3 - TWO_PI)
-    assert a == pytest.approx(b, abs=1e-12)
-    assert a == pytest.approx(c, abs=1e-12)
+def test_locate_x_out_of_range():
+    grid = gr.Grid(9, 8)
+    for xq in (1.001, -0.001, [0.5, 1.001]):
+        with pytest.raises(gr.RangeError):
+            gr.locate_x(grid, xq)
 
 
-def test_interpolate_out_of_range_x():
-    g = make_gf()
-    with pytest.raises(gr.RangeError):
-        gr.interpolate(g, 1, 1.001, 0.0)
-    with pytest.raises(gr.RangeError):
-        gr.interpolate(g, 1, -0.001, 0.0)
+def test_locate_x_accepts_slightly_out_of_range():
+    grid = gr.Grid(9, 8)
+    i0, theta = gr.locate_x(grid, np.array([1.0 + 5e-13, -5e-13]))
+    assert i0.tolist() == [grid.nx - 2, 0]
+    assert theta.tolist() == [1.0, 0.0]
 
 
-def test_interpolate_bad_component():
-    g = make_gf()
-    with pytest.raises(gr.RangeError):
-        gr.interpolate(g, 2, 0.5, 0.0)
-    with pytest.raises(gr.RangeError):
-        gr.interpolate(g, 0, 0.5, 0.0)
-
-
-def test_interpolate_accepts_slightly_out_of_range():
-    g = make_gf()
-    assert gr.interpolate(g, 1, 1.0 + 5e-13, 0.0) == g.values[0, -1, 0]
-    assert gr.interpolate(g, 1, -5e-13, 0.0) == g.values[0, 0, 0]
-
-
-def test_interp_values_matches_scalar_interpolate():
-    g = make_gf(11, 8)
-    xs = np.array([0.05, 0.5, 0.99])
-    ts = np.array([0.1, 3.0, 6.2])
-    out = gr.interp_values(g.grid, g.values[0], xs, ts)
-    for k in range(3):
-        assert out[k] == gr.interpolate(g, 1, float(xs[k]), float(ts[k]))
-
-
-def test_interp_t_all_rows_shape_and_values():
-    g = make_gf(7, 8)
-    tq = np.array([[0.2, 1.1], [2.5, 4.0]])
-    rows = gr.interp_t_all_rows(g.grid, g.values[0], tq)
-    assert rows.shape == (2, 2, 7)
-    got = rows[1, 0, 3]
-    want = gr.interpolate(g, 1, float(g.grid.xs[3]), 2.5)
-    assert got == pytest.approx(want, abs=1e-15)
+def test_cubic_t_stencil_wraps_in_time():
+    grid = gr.Grid(9, 8)
+    tq = np.array([0.3, 2.0, 6.2])
+    base = gr.cubic_t_stencil(grid, tq)
+    for shift in (TWO_PI, -TWO_PI):
+        got = gr.cubic_t_stencil(grid, tq + shift)
+        for k in range(4):
+            assert np.array_equal(got[k], base[k])
+        assert np.max(np.abs(got[4] - base[4])) <= 1e-12
 
 
 def test_cubic_t_stencil_is_exact_at_nodes():
@@ -139,26 +115,13 @@ def test_cubic_t_interpolation_reproduces_local_cubic():
     # 4-node stencil must reproduce it to rounding there
     grid = gr.Grid(5, 16)
     tc = grid.ts[5]
-    vals = ((grid.ts - tc) ** 3 - 2.0 * (grid.ts - tc) ** 2 + 0.5)[None, :].repeat(5, axis=0)
-    g = gr.GridFunction(grid, vals[None])
+    vals = (grid.ts - tc) ** 3 - 2.0 * (grid.ts - tc) ** 2 + 0.5
     for frac in (0.1, 0.5, 0.9):
         tq = grid.ts[5] + frac * grid.dt
-        got = gr.interp_values_cubic_t(grid, g.values[0], np.array(0.0), np.array(tq))
+        qm1, q0, q1, q2, w = gr.cubic_t_stencil(grid, np.array(tq))
+        got = w[0] * vals[qm1] + w[1] * vals[q0] + w[2] * vals[q1] + w[3] * vals[q2]
         want = (tq - tc) ** 3 - 2.0 * (tq - tc) ** 2 + 0.5
         assert float(got) == pytest.approx(want, abs=1e-12)
-
-
-def test_cubic_t_rows_match_pointwise():
-    g = make_gf(7, 8)
-    tq = np.array([0.7, 5.9])
-    rows = gr.interp_t_rows_cubic(g.grid, g.values[0], tq)
-    assert rows.shape == (2, 7)
-    for k, t in enumerate(tq):
-        for i in (0, 2, 6):
-            want = gr.interp_values_cubic_t(
-                g.grid, g.values[0], np.array(g.grid.xs[i]), np.array(t)
-            )
-            assert rows[k, i] == pytest.approx(float(want), abs=1e-15)
 
 
 def test_sup_norm():
@@ -170,39 +133,6 @@ def test_zeros():
     grid = gr.Grid(5, 4)
     g = gr.zeros(grid, 3)
     assert g.n == 3 and gr.sup_norm(g) == 0.0
-
-
-def test_flatten_matches_reshape_order():
-    grid = gr.Grid(5, 4)
-    vals = np.arange(2 * 5 * 4, dtype=float).reshape(2, 5, 4)
-    flat = vals.reshape(-1)
-    for j in (1, 2):
-        for i in (0, 2, 4):
-            for q in (0, 3):
-                assert flat[gr.flatten(j, i, q, grid)] == vals[j - 1, i, q]
-
-
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=0, max_value=3),
-)
-def test_flatten_unflatten_round_trip(j, i, q):
-    grid = gr.Grid(5, 4)
-    idx = gr.flatten(j, i, q, grid, n=3)
-    assert gr.unflatten(idx, grid, n=3) == (j, i, q)
-
-
-def test_flatten_range_checks():
-    grid = gr.Grid(5, 4)
-    with pytest.raises(gr.RangeError):
-        gr.flatten(0, 0, 0, grid)
-    with pytest.raises(gr.RangeError):
-        gr.flatten(1, 5, 0, grid)
-    with pytest.raises(gr.RangeError):
-        gr.flatten(1, 0, 4, grid)
-    with pytest.raises(gr.RangeError):
-        gr.unflatten(40, grid, n=2)
 
 
 def test_dump_csv_round_trips_values(tmp_path):
