@@ -12,7 +12,12 @@ Along the curve two weights accumulate: the gain
 which transports boundary data, and the integrand weight d = c / speed_j
 used by every quadrature along the curve.  Tracing is classical RK4 with a
 fixed step tied to the target grid resolution; the gain exponent is
-integrated with the same stages.
+integrated with the same stages.  One function, trace_arrays, does all
+tracing: it advances a batch of anchor positions and times together, one
+expression evaluation per stage for the whole batch, while each position
+keeps the steps it would take alone.  The operators trace every node of a
+component in one call; trace, the time partials and the inversions call
+it with a single position.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ DEFAULT_SUBSTEPS = 4
 
 
 class TraceError(ArithmeticError):
-    """Speed degenerated (|speed| < 1e-10) or changed sign along the curve."""
+    """Speed degenerated (|speed| < 1e-10) or changed sign along the curve,
+    or the curve gain overflowed."""
 
 
 @dataclass
@@ -53,15 +59,20 @@ class CharacteristicCurve:
 
 
 def _speed_at(p, j, xi, om, sign=None):
-    """Speed of component j at (xi, om).  With sign (the speed's sign at
-    each anchor) a stage must keep that sign, not just stay off zero."""
+    """Speed of component j at (xi, om), where om has the full shape of the
+    stage.  With sign (the speed's sign at each anchor) a stage must keep
+    that sign, not just stay off zero; the error names the position of the
+    first element that does not."""
     val = ex.evaluate(p.speeds[j - 1], xi, om)
-    if np.min(np.abs(val) if sign is None else val * sign) < SPEED_FLOOR:
+    margin = np.abs(val) if sign is None else val * sign
+    if np.min(margin) < SPEED_FLOOR:
+        bad = np.broadcast_to(margin < SPEED_FLOOR, om.shape).argmax()
         raise TraceError(
             f"speed of component {j} vanishes or changes sign near "
-            f"xi={float(np.atleast_1d(xi).flat[0]):.6g}"
+            f"xi={float(np.broadcast_to(xi, om.shape).flat[bad]):.6g}"
         )
     return val
+
 
 def _step_count(span, cells):
     if span <= 0.0:
@@ -70,63 +81,96 @@ def _step_count(span, cells):
 
 
 def trace_arrays(p, j, x, t, xi_end, cells, substeps):
-    """Vectorized RK4 trace for a batch of anchor times.
+    """Vectorized RK4 trace of a batch of anchors toward the position xi_end.
 
-    t has shape (Q,); returns (xi, times, gain, weight) where xi has shape
-    (S+1,) and the rest (Q, S+1).  Sample 0 sits at the anchor.
+    x holds P anchor positions and t, shape (Q,), the anchor times shared by
+    all of them (scalars count as one).  Returns lists (xi, times, gain,
+    weight) over the positions: xi[k] has shape (S_k+1,) and the rest
+    (Q, S_k+1), with sample 0 at the anchor.  Each position keeps the step
+    count, step and lattice of a trace of its own, so its samples do not
+    depend on the batch.  The positions step together, longest first, and
+    each RK4 stage is one evaluation over the positions still stepping.
+    The arrays are views into exact-size node-major buffers; without a
+    diagonal coupling the gain is a read-only broadcast of 1.0.
     """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     nq = t.shape[0]
-    span = abs(xi_end - x)
-    steps = _step_count(span, cells)
-    if steps == 0:
-        xi = np.array([x])
-        times = t[:, None].copy()
-        gain = np.ones((nq, 1))
-        aval = np.broadcast_to(np.asarray(_speed_at(p, j, x, t), dtype=float), (nq,))
-        weight = gain / aval[:, None]
-        return xi, times, gain, weight
-    total = substeps * steps
-    h = (xi_end - x) / total
-    xi = x + h * np.arange(total + 1)
-    xi[-1] = xi_end
+    totals = np.array([substeps * _step_count(abs(xi_end - v), cells) for v in xs])
+    lengths = totals + 1
+    start = np.concatenate([[0], np.cumsum(lengths)])
+    h = (xi_end - xs) / np.maximum(totals, 1)
+    xi_all = np.empty(start[-1])
+    for k, v in enumerate(xs):
+        xi_k = xi_all[start[k] : start[k + 1]]
+        xi_k[:] = v + h[k] * np.arange(lengths[k])
+        xi_k[-1] = xi_end
     diag = p.coupling[j - 1][j - 1]
     with_gain = not ex.is_zero(diag)
-    times = np.empty((nq, total + 1))
-    logc = np.zeros((nq, total + 1))
-    avals = np.empty((nq, total + 1))
-    times[:, 0] = t
-    om = t.astype(float).copy()
-    lg = np.zeros(nq)
-    sign = None
-    for s in range(total):
-        x0 = xi[s]
-        xm = x0 + 0.5 * h
-        x1 = xi[s + 1]
-        a1 = _speed_at(p, j, x0, om, sign)
-        if sign is None:  # the first stage sits on the anchors
-            sign = np.sign(a1)
-        avals[:, s] = a1
+    # sample s of anchor (k, q) sits at nq*start[k] + q*lengths[k] + s; the
+    # rows below are in stepping order, so the positions still stepping
+    # are always a prefix
+    order = np.argsort(-totals, kind="stable")
+    steps = totals[order]
+    first = start[:-1][order]
+    hs = h[order][:, None]
+    rows = (nq * first)[:, None] + np.arange(nq)[None, :] * lengths[order][:, None]
+    times = np.empty(nq * start[-1])
+    avals = np.empty_like(times)
+    logc = np.empty_like(times) if with_gain else None
+    om = np.broadcast_to(t, rows.shape)
+    a1 = np.broadcast_to(_speed_at(p, j, xs[order][:, None], om), om.shape)
+    sign = np.sign(a1)
+    times[rows] = om
+    avals[rows] = a1
+    lg = np.zeros(om.shape)
+    if with_gain:
+        logc[rows] = 0.0
+    for s in range(steps[0]):
+        a = int(np.count_nonzero(steps > s))
+        om, lg, a1, sign, hh = om[:a], lg[:a], a1[:a], sign[:a], hs[:a]
+        x0 = xi_all[first[:a] + s][:, None]
+        x1 = xi_all[first[:a] + s + 1][:, None]
+        xm = x0 + 0.5 * hh
         k1 = 1.0 / a1
-        a2 = _speed_at(p, j, xm, om + 0.5 * h * k1, sign)
+        a2 = _speed_at(p, j, xm, om + 0.5 * hh * k1, sign)
         k2 = 1.0 / a2
-        a3 = _speed_at(p, j, xm, om + 0.5 * h * k2, sign)
+        a3 = _speed_at(p, j, xm, om + 0.5 * hh * k2, sign)
         k3 = 1.0 / a3
-        a4 = _speed_at(p, j, x1, om + h * k3, sign)
+        a4 = _speed_at(p, j, x1, om + hh * k3, sign)
         k4 = 1.0 / a4
         if with_gain:
             l1 = ex.evaluate(diag, x0, om) * k1
-            l2 = ex.evaluate(diag, xm, om + 0.5 * h * k1) * k2
-            l3 = ex.evaluate(diag, xm, om + 0.5 * h * k2) * k3
-            l4 = ex.evaluate(diag, x1, om + h * k3) * k4
-            lg = lg + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        om = om + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[:, s + 1] = om
-        logc[:, s + 1] = lg
-    avals[:, -1] = _speed_at(p, j, xi_end, om, sign)
-    gain = np.exp(logc)
-    weight = gain / avals
-    return xi, times, gain, weight
+            l2 = ex.evaluate(diag, xm, om + 0.5 * hh * k1) * k2
+            l3 = ex.evaluate(diag, xm, om + 0.5 * hh * k2) * k3
+            l4 = ex.evaluate(diag, x1, om + hh * k3) * k4
+            lg = lg + (hh / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        om = om + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # first stage of the next step, or the speed at the end sample
+        a1 = np.broadcast_to(_speed_at(p, j, x1, om, sign), om.shape)
+        at = rows[:a] + (s + 1)
+        times[at] = om
+        avals[at] = a1
+        if with_gain:
+            logc[at] = lg
+    if with_gain:
+        with np.errstate(over="ignore"):
+            gain = np.exp(logc, out=logc)
+            weight = np.divide(gain, avals, out=avals)
+        # a gain that is not finite leaves its weight not finite
+        if not np.all(np.isfinite(weight)):
+            raise TraceError(f"gain of component {j} overflows along its curves")
+    else:
+        weight = np.divide(1.0, avals, out=avals)
+    out = ([], [], [], [])
+    for k, n in enumerate(lengths):
+        block = slice(nq * start[k], nq * start[k + 1])
+        unit = np.broadcast_to(1.0, (nq, n))
+        out[0].append(xi_all[start[k] : start[k + 1]])
+        out[1].append(times[block].reshape(nq, n))
+        out[2].append(gain[block].reshape(nq, n) if with_gain else unit)
+        out[3].append(weight[block].reshape(nq, n))
+    return out
 
 
 def trace(p, j, x, t, xi_end, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
@@ -136,20 +180,18 @@ def trace(p, j, x, t, xi_end, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
         if not -1e-12 <= v <= 1.0 + 1e-12:
             raise RangeError(f"{name}={v!r} outside [0, 1]")
     xi, times, gain, weight = trace_arrays(p, j, x, float(t), xi_end, cells, substeps)
-    return CharacteristicCurve(j, float(x), float(t), xi, times[0], gain[0], weight[0])
+    return CharacteristicCurve(
+        j, float(x), float(t), xi[0], times[0][0], gain[0][0], weight[0][0]
+    )
 
 
 def _merged_span(p, j, x, t, cells, substeps):
     """Samples of the full curve across [0, 1] through (x, t), ordered by
     ascending xi.  Returns (xi, times) flat arrays."""
-    xi_l, tm_l, _, _ = trace_arrays(p, j, x, t, 0.0, cells, substeps)
-    xi_r, tm_r, _, _ = trace_arrays(p, j, x, t, 1.0, cells, substeps)
-    xi = np.concatenate([xi_l[::-1], xi_r[1:]]) if len(xi_r) > 1 else xi_l[::-1]
-    tm = (
-        np.concatenate([tm_l[0, ::-1], tm_r[0, 1:]])
-        if len(xi_r) > 1
-        else tm_l[0, ::-1]
-    )
+    (xi_l,), (tm_l,), _, _ = trace_arrays(p, j, x, t, 0.0, cells, substeps)
+    (xi_r,), (tm_r,), _, _ = trace_arrays(p, j, x, t, 1.0, cells, substeps)
+    xi = np.concatenate([xi_l[::-1], xi_r[1:]])
+    tm = np.concatenate([tm_l[0, ::-1], tm_r[0, 1:]])
     return xi, tm
 
 
@@ -186,27 +228,6 @@ def time_partial_x(p, j, xi, x, t, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEP
     return -_crossing_exponent(p, j, curve) / ex.evaluate(p.speeds[j - 1], x, t)
 
 
-def _omega_between(p, j, xi_from, om_from, xi_to, nsub=2):
-    """Continue the crossing time from one known point to a nearby xi."""
-    if xi_to == xi_from:
-        return om_from
-    h = (xi_to - xi_from) / nsub
-    om = om_from
-    xcur = xi_from
-    for _ in range(nsub):
-        a1 = _speed_at(p, j, xcur, om)
-        k1 = 1.0 / a1
-        a2 = _speed_at(p, j, xcur + 0.5 * h, om + 0.5 * h * k1)
-        k2 = 1.0 / a2
-        a3 = _speed_at(p, j, xcur + 0.5 * h, om + 0.5 * h * k2)
-        k3 = 1.0 / a3
-        a4 = _speed_at(p, j, xcur + h, om + h * k3)
-        k4 = 1.0 / a4
-        om = om + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xcur += h
-    return float(om)
-
-
 def _invert_on_samples(p, j, xi, tm, z, target=1e-12):
     """Position where the sampled curve crosses time z (bracketed Newton)."""
     increasing = tm[-1] >= tm[0]
@@ -232,7 +253,9 @@ def _invert_on_samples(p, j, xi, tm, z, target=1e-12):
         near = min(max(near, 0), len(xi) - 1)
         if near > 0 and abs(xi[near - 1] - cur) < abs(xi[near] - cur):
             near -= 1
-        om = _omega_between(p, j, float(xi[near]), float(tm[near]), float(cur))
+        # continue the curve from the nearest sample by one RK4 step of two
+        # substeps (one cell spans any distance within [0, 1])
+        om = float(trace_arrays(p, j, xi[near], tm[near], cur, 1, 2)[1][0][0, -1])
         res = om - zc
         if abs(res) < abs(best_res):
             best, best_res = cur, res

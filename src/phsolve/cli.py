@@ -10,6 +10,7 @@ Problems come from JSON files (--problem) or the built-in registry
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,7 +40,11 @@ def _add_common(sub, with_exact=False):
         )
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: main may run many
+    times in one process, and building the parser (about 2 ms) is a
+    noticeable share of a small grid's run."""
     parser = argparse.ArgumentParser(
         prog="phsolve",
         description="periodic solutions of coupled transport systems with "

@@ -1,10 +1,11 @@
 """Discrete integral operators on periodic grid functions.
 
 Every operator integrates along characteristic curves anchored at grid
-nodes.  A shared CurveCache traces each (component, x-node) pair once for
-all time nodes simultaneously; quadrature is composite trapezoid on the
-curve samples, with linear (x) and periodic cubic (t) interpolation
-supplying off-grid values of the argument function.
+nodes.  A shared CurveCache traces all x-nodes and time nodes of a
+component in one batched sweep, the first time any of its blocks is asked
+for; quadrature is composite trapezoid on the curve samples, with linear
+(x) and periodic cubic (t) interpolation supplying off-grid values of the
+argument function.
 
 The quadrature of each piece of K = R + B + G + H is written once, as a
 function of one block (component j, x-node i) that yields the block's
@@ -19,6 +20,7 @@ dense matrix and stencil_row reads one row of.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,31 +66,32 @@ def x_trapezoid(grid):
 
 
 class CurveCache:
-    """Memoized characteristic data per (component, x-node index)."""
+    """Memoized characteristic data per (component, x-node index).  A miss
+    traces every x-node of the component toward its boundary side in one
+    batched sweep and keeps all of them; each block's arrays are views into
+    the sweep's buffers."""
 
-    def __init__(self, p, grid, substeps=DEFAULT_SUBSTEPS):
+    def __init__(self, p, grid):
         self.p = p
         self.grid = grid
-        self.substeps = substeps
         self._curves = {}
         self._inner = {}
 
     def curve(self, j, i):
-        key = (j, i)
-        got = self._curves.get(key)
+        got = self._curves.get((j, i))
         if got is None:
-            x = float(self.grid.xs[i])
-            xi, times, gain, weight = trace_arrays(
+            sweep = trace_arrays(
                 self.p,
                 j,
-                x,
+                self.grid.xs,
                 self.grid.ts,
                 self.p.bc_side(j),
                 self.grid.nx - 1,
-                self.substeps,
+                DEFAULT_SUBSTEPS,
             )
-            got = BlockCurve(xi, times, gain, weight, _trap_weights(xi))
-            self._curves[key] = got
+            for k, (xi, *arrays) in enumerate(zip(*sweep)):
+                self._curves[(j, k)] = BlockCurve(xi, *arrays, _trap_weights(xi))
+            got = self._curves[(j, i)]
         return got
 
     def inner_weights(self, j, i):
@@ -147,7 +150,7 @@ def _along(caches, j, i):
     return cur, cur.trap[None, :] * cur.weight
 
 
-def _r_parts(p, grid, caches, j, i):
+def _r_parts(p, grid, caches, j, i, t_stencil):
     """R: the boundary kernels integrated over x against u at the curve's
     exit time, transported along the curve by its gain.  Parts (nt, nx)."""
     row = p.boundary_kernels[j - 1]
@@ -166,7 +169,7 @@ def _r_parts(p, grid, caches, j, i):
             yield base + tq[node][:, None], coeff * tq[4][node][:, None]
 
 
-def _b_parts(p, grid, caches, j, i):
+def _b_parts(p, grid, caches, j, i, t_stencil):
     """B: off-diagonal zero-order coupling integrated along the curve.
     Parts (nt, S), one per x-neighbour and t-node of each sample."""
     row = p.coupling[j - 1]
@@ -178,7 +181,7 @@ def _b_parts(p, grid, caches, j, i):
         return
     nt, nx = grid.nt, grid.nx
     i0, thx = locate_x(grid, cur.xi)
-    tq = cubic_t_stencil(grid, cur.times)
+    tq = t_stencil()
     wx0 = (1.0 - thx)[None, :]
     wx1 = thx[None, :]
     for k in live:
@@ -193,7 +196,7 @@ def _b_parts(p, grid, caches, j, i):
             yield c1 + qn, C * wx1 * wn
 
 
-def _h_parts(p, grid, caches, j, i):
+def _h_parts(p, grid, caches, j, i, t_stencil):
     """H: each component's value at the end opposite to its prescribed
     side, integrated along the curve.  Parts (nt, S)."""
     row = p.boundary_inputs[j - 1]
@@ -204,7 +207,7 @@ def _h_parts(p, grid, caches, j, i):
     if cur is None:
         return
     nt, nx = grid.nt, grid.nx
-    tq = cubic_t_stencil(grid, cur.times)
+    tq = t_stencil()
     for k in live:
         C = cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
         base = (k - 1) * nx * nt + _boundary_column(p, grid, k) * nt
@@ -212,7 +215,7 @@ def _h_parts(p, grid, caches, j, i):
             yield base + tq[node], C * tq[4][node]
 
 
-def _g_parts(p, grid, caches, j, i):
+def _g_parts(p, grid, caches, j, i, t_stencil):
     """G: the spatial integral (Volterra over [0, xi] or full-range) at
     each curve sample, integrated along the curve.  Parts (nt, nx, nt),
     one per component k: the weight on u_k(x_p, t_r), summed over the
@@ -228,7 +231,7 @@ def _g_parts(p, grid, caches, j, i):
         return
     nt, nx = grid.nt, grid.nx
     samples = len(cur.xi)
-    tq = cubic_t_stencil(grid, cur.times)
+    tq = t_stencil()
     # interp[q, s, r]: weight of t-node r at sample time (q, s); the four
     # nodes of one sample are distinct since nt >= 4
     interp = np.zeros((nt, samples, nt))
@@ -258,14 +261,25 @@ def _forcing(p, grid, caches, j, i):
     return np.einsum("qs,qs->q", cw, fv)
 
 
+def _t_stencil(grid, caches, j, i):
+    """A function returning the cubic t-stencil of block (j, i)'s curve
+    samples, which B, H and G all read.  It computes the stencil on its
+    first call and keeps it only as long as the block is being processed:
+    kept per block, the stencils would take 8 arrays the size of the curve
+    times each."""
+    times = caches.curve(j, i).times
+    return functools.cache(lambda: cubic_t_stencil(grid, times))
+
+
 def _apply(pieces, p, grid, u, caches):
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
     flat = u.values.reshape(-1)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
+            t_stencil = _t_stencil(grid, caches, j, i)
             for piece in pieces:
-                for cols, w in piece(p, grid, caches, j, i):
+                for cols, w in piece(p, grid, caches, j, i, t_stencil):
                     out.values[j - 1, i] += (w * flat[cols]).reshape(grid.nt, -1).sum(1)
     return out
 
@@ -333,8 +347,9 @@ def stencil_block(p, grid, caches, j, i):
     nt = grid.nt
     cols = [np.zeros((nt, 0), dtype=np.int64)]
     weights = [np.zeros((nt, 0))]
+    t_stencil = _t_stencil(grid, caches, j, i)
     for piece in _PIECES:
-        for c, w in piece(p, grid, caches, j, i):
+        for c, w in piece(p, grid, caches, j, i, t_stencil):
             cols.append(c.reshape(nt, -1))
             weights.append(w.reshape(nt, -1))
     const = _forcing(p, grid, caches, j, i)

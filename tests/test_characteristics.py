@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from phsolve import characteristics as ch
 from phsolve import expr as ex
 from phsolve import problem as pb
-from phsolve.grid import RangeError
+from phsolve.grid import Grid, RangeError
+from phsolve.operators import CurveCache
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +150,11 @@ def test_trace_error_on_speed_changing_sign_between_samples():
     for x, xi_end in ((0.0, 1.0), (1.0, 0.0), (0.515, 1.0)):
         with pytest.raises(ch.TraceError, match="changes sign"):
             ch.trace_arrays(p, 1, x, np.array([0.0, 3.0]), xi_end, 128, 4)
+    # a sweep over all x-nodes names where the check failed, not where the
+    # first anchor of the batch happens to be
+    with pytest.raises(ch.TraceError, match="changes sign") as err:
+        CurveCache(p, Grid(17, 16)).curve(1, 0)
+    assert 0.50 <= float(re.search(r"xi=(\S+)", str(err.value)).group(1)) <= 0.53
 
 
 def test_invert_time_round_trip(wavy):

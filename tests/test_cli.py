@@ -2,6 +2,7 @@ import csv
 import json
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,25 @@ def test_degenerate_speed_exits_one(tmp_path, capsys, speed):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def test_overflowing_gain_exits_one(tmp_path, capsys):
+    # the curve gain exp(1000 x) overflows; refused in the tracer, before
+    # an inf can reach the matrix
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOW))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(
+            ["solve", "--problem", str(path), "--nx", "9", "--nt", "8", "--out", str(out)]
+        )
+    assert code == 1
+    assert [str(w.message) for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "gain of component 1" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_negative_tau_exits_one(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from phsolve import characteristics as ch
 from phsolve import expr as ex
 from phsolve import grid as gr
 from phsolve import operators as op
@@ -275,3 +277,35 @@ def test_curve_cache_is_shared(full_problem):
     caches = op.CurveCache(full_problem, grid)
     assert caches.curve(1, 5) is caches.curve(1, 5)
     assert caches.inner_weights(2, 3) is caches.inner_weights(2, 3)
+
+
+@pytest.mark.parametrize(
+    "case", [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm"]
+)
+def test_cache_sweep_matches_single_curve_trace(case, full_problem):
+    # the cache traces a whole component at once; every block must equal
+    # the curve traced on its own from each anchor, bit for bit
+    if case in problems.BUILTINS:
+        p = problems.get_builtin(case)
+    else:
+        p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
+    grid = gr.Grid(17, 16)
+    caches = op.CurveCache(p, grid)
+    for j in range(1, p.n + 1):
+        for i, x in enumerate(grid.xs):
+            cur = caches.curve(j, i)
+            for q, t in enumerate(grid.ts):
+                one = ch.trace(p, j, x, t, p.bc_side(j), cells=grid.nx - 1)
+                assert np.array_equal(cur.xi, one.xi)
+                assert np.array_equal(cur.times[q], one.times)
+                assert np.array_equal(cur.gain[q], one.gain)
+                assert np.array_equal(cur.weight[q], one.weight)
+
+
+def test_unit_gain_is_not_stored(full_problem):
+    grid = gr.Grid(9, 8)
+    plain = op.CurveCache(problems.example13(), grid).curve(1, 4)
+    assert plain.gain.strides == (0, 0) and np.all(plain.gain == 1.0)
+    live = op.CurveCache(full_problem, grid).curve(1, 4)
+    assert live.gain.strides != (0, 0)
+    assert live.gain.shape == live.times.shape and np.any(live.gain != 1.0)
