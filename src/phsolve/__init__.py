@@ -16,7 +16,7 @@ from .fredholm import (
     singular_spectrum,
     solve_alternative,
 )
-from .grid import Grid, GridFunction, RangeError, sample, sample_exprs, sup_norm
+from .grid import Grid, GridFunction, RangeError, sample_exprs, sup_norm
 from .characteristics import (
     CharacteristicCurve,
     TraceError,

@@ -173,23 +173,23 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     return out
 
 
-def trace(p, j, x, t, xi_end, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
+def trace(p, j, x, t, xi_end, cells=DEFAULT_CELLS):
     """Trace the curve of component j (numbered from 1) from anchor (x, t)
     to the position xi_end.  Both positions must lie in [0, 1]."""
     for name, v in (("x", x), ("xi_end", xi_end)):
         if not -1e-12 <= v <= 1.0 + 1e-12:
             raise RangeError(f"{name}={v!r} outside [0, 1]")
-    xi, times, gain, weight = trace_arrays(p, j, x, float(t), xi_end, cells, substeps)
+    xi, times, gain, weight = trace_arrays(p, j, x, float(t), xi_end, cells, DEFAULT_SUBSTEPS)
     return CharacteristicCurve(
         j, float(x), float(t), xi[0], times[0][0], gain[0][0], weight[0][0]
     )
 
 
-def _merged_span(p, j, x, t, cells, substeps):
+def _merged_span(p, j, x, t, cells):
     """Samples of the full curve across [0, 1] through (x, t), ordered by
     ascending xi.  Returns (xi, times) flat arrays."""
-    (xi_l,), (tm_l,), _, _ = trace_arrays(p, j, x, t, 0.0, cells, substeps)
-    (xi_r,), (tm_r,), _, _ = trace_arrays(p, j, x, t, 1.0, cells, substeps)
+    (xi_l,), (tm_l,), _, _ = trace_arrays(p, j, x, t, 0.0, cells, DEFAULT_SUBSTEPS)
+    (xi_r,), (tm_r,), _, _ = trace_arrays(p, j, x, t, 1.0, cells, DEFAULT_SUBSTEPS)
     xi = np.concatenate([xi_l[::-1], xi_r[1:]])
     tm = np.concatenate([tm_l[0, ::-1], tm_r[0, 1:]])
     return xi, tm
@@ -214,17 +214,17 @@ def _crossing_exponent(p, j, curve):
     return math.exp(-_directed_trapezoid(integrand, curve.xi))
 
 
-def time_partial_t(p, j, xi, x, t, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
+def time_partial_t(p, j, xi, x, t, cells=DEFAULT_CELLS):
     """Sensitivity of the crossing time at xi to the anchor time t:
     exp( integral_xi^x (dt speed)/speed^2 along the curve )."""
-    curve = trace(p, j, x, t, xi, cells, substeps)
+    curve = trace(p, j, x, t, xi, cells)
     return _crossing_exponent(p, j, curve)
 
 
-def time_partial_x(p, j, xi, x, t, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
+def time_partial_x(p, j, xi, x, t, cells=DEFAULT_CELLS):
     """Sensitivity of the crossing time at xi to the anchor position x;
     equals -time_partial_t / speed(x, t)."""
-    curve = trace(p, j, x, t, xi, cells, substeps)
+    curve = trace(p, j, x, t, xi, cells)
     return -_crossing_exponent(p, j, curve) / ex.evaluate(p.speeds[j - 1], x, t)
 
 
@@ -279,17 +279,15 @@ def _invert_on_samples(p, j, xi, tm, z, target=1e-12):
     )
 
 
-def invert_time(p, j, z, x, t, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS):
+def invert_time(p, j, z, x, t, cells=DEFAULT_CELLS):
     """Position xi at which the curve through (x, t) has crossing time z.
     z must lie between the crossing times of the two endpoints."""
-    xi, tm = _merged_span(p, j, x, float(t), cells, substeps)
+    xi, tm = _merged_span(p, j, x, float(t), cells)
     pos = _invert_on_samples(p, j, xi, tm, float(z))
     return float(min(max(pos, 0.0), 1.0))
 
 
-def invert_time_derivative(
-    p, k, tau, x, t, cells=DEFAULT_CELLS, substeps=DEFAULT_SUBSTEPS
-):
+def invert_time_derivative(p, k, tau, x, t, cells=DEFAULT_CELLS):
     """Derivative of invert_time with respect to the time argument.
 
     Equals the speed at the inverse point; evaluated in transported form as
@@ -301,7 +299,7 @@ def invert_time_derivative(
     """
     tau = float(tau)
     t = float(t)
-    xi, tm = _merged_span(p, k, x, t, cells, substeps)
+    xi, tm = _merged_span(p, k, x, t, cells)
     pos = _invert_on_samples(p, k, xi, tm, tau)
     increasing = tm[-1] >= tm[0]
     key = tm if increasing else -tm

@@ -263,17 +263,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (
-        ValidationError,
-        ex.LexError,
-        ex.ParseError,
-        fredholm.CapacityError,
-        # evaluation, tracing, time inversion and spectrum failures
-        ArithmeticError,
-        KeyError,
-        OSError,
-        ValueError,
-    ) as err:
+    # ArithmeticError: evaluation, tracing, time inversion and spectrum
+    # failures; KeyError: a problem file without a required field; OSError:
+    # a file that cannot be read or written; ValueError: invalid problem data
+    # or JSON, expressions that do not lex or parse, and grids past the cap
+    except (ArithmeticError, KeyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

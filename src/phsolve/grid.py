@@ -3,9 +3,11 @@
 Space nodes x_i = i/(nx-1) include both endpoints of [0, 1]; time nodes
 t_q = 2*pi*q/nt cover one period without duplicating the seam.  A grid
 function stores one (nx, nt) array per component; its flat layout is
-values.reshape(-1): component-major, then x, then t.  Off-grid values are
-interpolated linearly in x (locate_x) and by a periodic four-node cubic in
-t (cubic_t_stencil); the operators read both as weights on grid nodes.
+values.reshape(-1): component-major, then x, then t.  Off-grid values come
+from two interpolation stencils, which the operators read as weights on
+grid nodes: linear in x over the two ends of a cell (locate_x gives the
+cell and the offset in it) and a periodic four-node cubic in t
+(cubic_t_stencil gives the nodes and their weights).
 """
 
 from __future__ import annotations
@@ -73,17 +75,6 @@ def zeros(grid, n):
     return GridFunction(grid, np.zeros((n, grid.nx, grid.nt)))
 
 
-def sample(fn, grid):
-    """Sample a callable fn(x, t) into a one-component grid function."""
-    x = grid.xs[:, None]
-    t = grid.ts[None, :]
-    try:
-        vals = np.broadcast_to(np.asarray(fn(x, t), dtype=float), (grid.nx, grid.nt))
-    except (TypeError, ValueError):
-        vals = np.array([[fn(xi, tq) for tq in grid.ts] for xi in grid.xs], dtype=float)
-    return GridFunction(grid, vals[None, :, :].copy())
-
-
 def sample_exprs(exprs, grid):
     """Sample a list of expression trees into an n-component grid function."""
     x = grid.xs[:, None]
@@ -111,42 +102,33 @@ def locate_x(grid, xq):
     return i0, theta
 
 
-def locate_t(grid, tq):
-    """Periodic cell index and fractional offset for t-queries."""
-    tq = np.asarray(tq, dtype=float)
-    tr = np.mod(tq, TWO_PI)
-    s = tr / grid.dt
-    q0 = np.clip(np.floor(s).astype(np.int64), 0, grid.nt - 1)
-    theta = s - q0
-    theta = np.where(tr == grid.ts[q0], 0.0, theta)
-    q1 = q0 + 1
-    hi = grid.ts[np.clip(q1, 0, grid.nt - 1)]
-    theta = np.where((q1 < grid.nt) & (tr == hi), 1.0, theta)
-    return q0, q1 % grid.nt, theta
-
-
 def cubic_t_stencil(grid, tq):
     """Four-node periodic cubic Lagrange stencil in t.
 
-    Returns (qm1, q0, q1, q2, weights) where the q-arrays index the four
-    wrapped time nodes around each query and weights has shape
-    (4,) + tq.shape.  Exact at nodes (the weight vector degenerates to a
+    Returns (nodes, weights), both of shape (4,) + tq.shape: nodes holds
+    the wrapped time nodes q0-1, q0, q0+1, q0+2 around each query, where
+    q0 is the periodic cell the query falls in, and weights the Lagrange
+    weights on them.  Exact at nodes (the weight vector degenerates to a
     unit vector there) and exactly 2pi-periodic.
     """
-    q0, _, tht = locate_t(grid, tq)
-    th = np.asarray(tht, dtype=float)
-    wm1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-    w1 = -(th + 1.0) * th * (th - 2.0) / 2.0
-    w2 = (th + 1.0) * th * (th - 1.0) / 6.0
+    tq = np.asarray(tq, dtype=float)
     nt = grid.nt
-    return (
-        (q0 - 1) % nt,
-        q0,
-        (q0 + 1) % nt,
-        (q0 + 2) % nt,
-        np.stack([wm1, w0, w1, w2]),
-    )
+    tr = np.mod(tq, TWO_PI)
+    s = tr / grid.dt
+    q0 = np.clip(np.floor(s).astype(np.int64), 0, nt - 1)
+    nodes = (q0 + np.arange(-1, 3).reshape((4,) + (1,) * tq.ndim)) % nt
+    th = s - q0
+    # node hits snap to exact offsets: tr / dt may round to just above the
+    # node's index (offset 0) or to just below it, into the cell below
+    # (offset 1); tr never equals t_0 in the last cell, where q0 + 1 wraps
+    th = np.where(tr == grid.ts[q0], 0.0, th)
+    th = np.where(tr == grid.ts[nodes[2]], 1.0, th)
+    weights = np.empty((4,) + tq.shape)
+    weights[0] = -th * (th - 1.0) * (th - 2.0) / 6.0
+    weights[1] = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+    weights[2] = -(th + 1.0) * th * (th - 2.0) / 2.0
+    weights[3] = (th + 1.0) * th * (th - 1.0) / 6.0
+    return nodes, weights
 
 
 def sup_norm(g):

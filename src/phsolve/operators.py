@@ -102,24 +102,24 @@ class CurveCache:
         key = (j, i)
         got = self._inner.get(key)
         if got is None:
-            cur = self.curve(j, i)
+            xi = self.curve(j, i).xi
             nx = self.grid.nx
             if not self.p.volterra:
-                got = np.tile(x_trapezoid(self.grid), (len(cur.xi), 1))
+                got = np.broadcast_to(x_trapezoid(self.grid), (len(xi), nx))
             else:
                 hx = self.grid.dx
-                got = np.zeros((len(cur.xi), nx))
-                for s, pos in enumerate(cur.xi):
-                    pf = min(int(np.floor(pos * (nx - 1) + 1e-12)), nx - 1)
-                    if pf >= 1:
-                        got[s, 0] += 0.5 * hx
-                        got[s, pf] += 0.5 * hx
-                        got[s, 1:pf] += hx
-                    delta = pos - self.grid.xs[pf]
-                    if delta > 0.0 and pf + 1 < nx:
-                        th = delta / hx
-                        got[s, pf] += 0.5 * delta * (2.0 - th)
-                        got[s, pf + 1] += 0.5 * delta * th
+                i0, th = locate_x(self.grid, xi)
+                # every cell wholly below xi_s adds half its width at each
+                # end; the cell i0 holding xi_s adds the trapezoid of the
+                # linear interpolant over [x_i0, xi_s]
+                whole = 0.5 * hx * (np.arange(nx - 1)[None, :] < i0[:, None])
+                got = np.zeros((len(xi), nx))
+                got[:, :-1] += whole
+                got[:, 1:] += whole
+                rows = np.arange(len(xi))
+                delta = th * hx
+                got[rows, i0] += 0.5 * delta * (2.0 - th)
+                got[rows, i0 + 1] += 0.5 * delta * th
             self._inner[key] = got
         return got
 
@@ -160,13 +160,13 @@ def _r_parts(p, grid, caches, j, i, t_stencil):
     nt, nx = grid.nt, grid.nx
     cur = caches.curve(j, i)
     om = cur.times[:, -1]
-    tq = cubic_t_stencil(grid, om)
+    nodes, weights = cubic_t_stencil(grid, om)
     scale = cur.gain[:, -1][:, None] * x_trapezoid(grid)[None, :]
     for k in live:
         coeff = scale * _eval_on(row[k - 1], grid.xs[None, :], om[:, None], (nt, nx))
         base = (k - 1) * nx * nt + np.arange(nx)[None, :] * nt
-        for node in range(4):
-            yield base + tq[node][:, None], coeff * tq[4][node][:, None]
+        for qn, wn in zip(nodes, weights):
+            yield base + qn[:, None], coeff * wn[:, None]
 
 
 def _b_parts(p, grid, caches, j, i, t_stencil):
@@ -181,7 +181,7 @@ def _b_parts(p, grid, caches, j, i, t_stencil):
         return
     nt, nx = grid.nt, grid.nx
     i0, thx = locate_x(grid, cur.xi)
-    tq = t_stencil()
+    nodes, weights = t_stencil()
     wx0 = (1.0 - thx)[None, :]
     wx1 = thx[None, :]
     for k in live:
@@ -189,9 +189,7 @@ def _b_parts(p, grid, caches, j, i, t_stencil):
         base = (k - 1) * nx * nt
         c0 = base + i0[None, :] * nt
         c1 = base + (i0 + 1)[None, :] * nt
-        for node in range(4):
-            qn = tq[node]
-            wn = tq[4][node]
+        for qn, wn in zip(nodes, weights):
             yield c0 + qn, C * wx0 * wn
             yield c1 + qn, C * wx1 * wn
 
@@ -207,12 +205,12 @@ def _h_parts(p, grid, caches, j, i, t_stencil):
     if cur is None:
         return
     nt, nx = grid.nt, grid.nx
-    tq = t_stencil()
+    nodes, weights = t_stencil()
     for k in live:
         C = cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
         base = (k - 1) * nx * nt + _boundary_column(p, grid, k) * nt
-        for node in range(4):
-            yield base + tq[node], C * tq[4][node]
+        for qn, wn in zip(nodes, weights):
+            yield base + qn, C * wn
 
 
 def _g_parts(p, grid, caches, j, i, t_stencil):
@@ -231,12 +229,11 @@ def _g_parts(p, grid, caches, j, i, t_stencil):
         return
     nt, nx = grid.nt, grid.nx
     samples = len(cur.xi)
-    tq = t_stencil()
+    nodes, weights = t_stencil()
     # interp[q, s, r]: weight of t-node r at sample time (q, s); the four
     # nodes of one sample are distinct since nt >= 4
     interp = np.zeros((nt, samples, nt))
-    for node in range(4):
-        interp[np.arange(nt)[:, None], np.arange(samples)[None, :], tq[node]] = tq[4][node]
+    np.put_along_axis(interp, np.moveaxis(nodes, 0, -1), np.moveaxis(weights, 0, -1), axis=2)
     wi = caches.inner_weights(j, i)
     cols = np.broadcast_to(np.arange(nx * nt).reshape(1, nx, nt), (nt, nx, nt))
     for k in live:

@@ -88,26 +88,28 @@ def test_locate_x_accepts_slightly_out_of_range():
 def test_cubic_t_stencil_wraps_in_time():
     grid = gr.Grid(9, 8)
     tq = np.array([0.3, 2.0, 6.2])
-    base = gr.cubic_t_stencil(grid, tq)
+    nodes, weights = gr.cubic_t_stencil(grid, tq)
     for shift in (TWO_PI, -TWO_PI):
-        got = gr.cubic_t_stencil(grid, tq + shift)
-        for k in range(4):
-            assert np.array_equal(got[k], base[k])
-        assert np.max(np.abs(got[4] - base[4])) <= 1e-12
+        got_nodes, got_weights = gr.cubic_t_stencil(grid, tq + shift)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.max(np.abs(got_weights - weights)) <= 1e-12
 
 
 def test_cubic_t_stencil_is_exact_at_nodes():
+    # at nt = 16, t_q / dt rounds to just above q at q = 13 and to just
+    # below it, into the cell below, at q = 11 and 15
+    for nt in (8, 16):
+        grid = gr.Grid(5, nt)
+        for q in range(grid.nt):
+            nodes, weights = gr.cubic_t_stencil(grid, np.array(grid.ts[q]))
+            assert np.count_nonzero(weights) == 1
+            hit = int(np.argmax(np.abs(weights)))
+            assert weights[hit] == 1.0
+            assert nodes[hit] == q
     grid = gr.Grid(5, 8)
-    for q in range(grid.nt):
-        qm1, q0, q1, q2, w = gr.cubic_t_stencil(grid, np.array(grid.ts[q]))
-        weights = np.array([w[0], w[1], w[2], w[3]])
-        nodes = np.array([qm1, q0, q1, q2])
-        assert np.count_nonzero(weights) == 1
-        assert weights[np.argmax(np.abs(weights))] == 1.0
-        assert nodes[int(np.argmax(np.abs(weights)))] == q
     tq = np.array(0.3 * grid.dt + grid.ts[2])
-    _, _, _, _, w = gr.cubic_t_stencil(grid, tq)
-    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    _, weights = gr.cubic_t_stencil(grid, tq)
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cubic_t_interpolation_reproduces_local_cubic():
@@ -118,8 +120,8 @@ def test_cubic_t_interpolation_reproduces_local_cubic():
     vals = (grid.ts - tc) ** 3 - 2.0 * (grid.ts - tc) ** 2 + 0.5
     for frac in (0.1, 0.5, 0.9):
         tq = grid.ts[5] + frac * grid.dt
-        qm1, q0, q1, q2, w = gr.cubic_t_stencil(grid, np.array(tq))
-        got = w[0] * vals[qm1] + w[1] * vals[q0] + w[2] * vals[q1] + w[3] * vals[q2]
+        nodes, weights = gr.cubic_t_stencil(grid, np.array(tq))
+        got = np.sum(weights * vals[nodes])
         want = (tq - tc) ** 3 - 2.0 * (tq - tc) ** 2 + 0.5
         assert float(got) == pytest.approx(want, abs=1e-12)
 

@@ -117,6 +117,24 @@ def test_g_fredholm_variant_integrates_full_interval():
     assert np.max(np.abs(out.values - want[None, :, None])) <= 1e-10
 
 
+@pytest.mark.parametrize("nx", [9, 24, 26])
+def test_inner_weights_integrate_up_to_each_sample(full_problem, nx):
+    # x_i * (nx-1) rounds off i at nx = 24 and 26, so node hits must still
+    # close the last whole cell
+    grid = gr.Grid(nx, 8)
+    for volterra in (True, False):
+        caches = op.CurveCache(dataclasses.replace(full_problem, volterra=volterra), grid)
+        for j in (1, 2):
+            for i in range(nx):
+                xi = caches.curve(j, i).xi
+                wi = caches.inner_weights(j, i)
+                if not volterra:
+                    assert np.array_equal(wi, np.broadcast_to(op.x_trapezoid(grid), wi.shape))
+                    continue
+                assert np.max(np.abs(wi.sum(1) - xi)) <= 1e-14
+                assert np.max(np.abs(wi @ grid.xs - xi**2 / 2.0)) <= 1e-14
+
+
 def test_h_transports_boundary_trace():
     p = build(h=[["1"]])
     grid = gr.Grid(33, 32)
