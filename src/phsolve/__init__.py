@@ -29,12 +29,8 @@ from .characteristics import (
 from .operators import (
     CurveCache,
     Stencil,
-    apply_B,
     apply_F,
-    apply_G,
-    apply_H,
     apply_K,
-    apply_R,
     stencil_row,
 )
 from .problem import ProblemSpec, ValidationError

@@ -53,10 +53,6 @@ class CharacteristicCurve:
     gain: np.ndarray
     weight: np.ndarray
 
-    @property
-    def step(self):
-        return 0.0 if len(self.xi) < 2 else float(self.xi[1] - self.xi[0])
-
 
 def _speed_at(p, j, xi, om, sign=None):
     """Speed of component j at (xi, om), where om has the full shape of the

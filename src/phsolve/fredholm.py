@@ -57,7 +57,7 @@ class OperatorMatrix:
         return self.rhs.shape[0]
 
 
-def assemble(p, grid, caches=None, limit=DENSE_LIMIT):
+def assemble(p, grid):
     """Collocate I - K on the grid nodes.
 
     Each block (component j, x-node i) fills its nt rows: one bincount
@@ -66,12 +66,11 @@ def assemble(p, grid, caches=None, limit=DENSE_LIMIT):
     """
     n = p.n
     size = n * grid.nx * grid.nt
-    if size > limit:
+    if size > DENSE_LIMIT:
         raise CapacityError(
-            f"dense system of size {size} exceeds the cap {limit}; coarsen the grid"
+            f"dense system of size {size} exceeds the cap {DENSE_LIMIT}; coarsen the grid"
         )
-    if caches is None:
-        caches = CurveCache(p, grid)
+    caches = CurveCache(p, grid)
     nt = grid.nt
     A = np.zeros((size, size))
     rhs = np.zeros(size)
@@ -250,6 +249,15 @@ class LevyReport:
 
 
 def check_levy(p, grid, delta=None, tol=1e-8):
+    """Screen each off-diagonal coupling against its speed gap on the grid
+    nodes.  delta, when given, must be finite and > 0: it is the gap below
+    which a node does not enter the quotient bound.  tol must be finite
+    and >= 0: it is the absolute slack on the comparison.  Either outside
+    its range would turn a failing screen into a pass."""
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     shape = (grid.nx, grid.nt)
     xg = grid.xs[:, None]
     tg = grid.ts[None, :]

@@ -11,11 +11,12 @@ The quadrature of each piece of K = R + B + G + H is written once, as a
 function of one block (component j, x-node i) that yields the block's
 weights in parts (cols, weights): equal-shaped arrays whose leading axis
 is the time-node row q, with weights[q, ...] acting on the flattened node
-indices cols[q, ...].  Forcing gives one constant per row.  The parts
-have two uses.  apply_* contracts them against concrete grid values one
-part at a time, so applying K never stores it.  stencil_block
-concatenates them into explicit weights, which assembly scatters into the
-dense matrix and stencil_row reads one row of.
+indices cols[q, ...].  One pass over a block (_block_parts) fetches its
+curve once and yields the parts of all four pieces.  Forcing gives one
+constant per row.  The parts have two uses.  apply_K contracts them
+against concrete grid values one part at a time, so applying K never
+stores it.  stencil_block concatenates them into explicit weights, which
+assembly scatters into the dense matrix and stencil_row reads one row of.
 """
 
 from __future__ import annotations
@@ -139,18 +140,7 @@ def _live(row, skip=None):
     return [k for k in range(1, len(row) + 1) if k != skip and not ex.is_zero(row[k - 1])]
 
 
-def _along(caches, j, i):
-    """The curve of block (j, i) and its quadrature weights cw[q, s]
-    (signed trapezoid times integrating factor), or (None, None) when the
-    curve is a single point: the node lies on its own boundary side, where
-    every integral along the curve vanishes."""
-    cur = caches.curve(j, i)
-    if len(cur.xi) < 2:
-        return None, None
-    return cur, cur.trap[None, :] * cur.weight
-
-
-def _r_parts(p, grid, caches, j, i, t_stencil):
+def _r_parts(p, grid, j, cur):
     """R: the boundary kernels integrated over x against u at the curve's
     exit time, transported along the curve by its gain.  Parts (nt, nx)."""
     row = p.boundary_kernels[j - 1]
@@ -158,7 +148,6 @@ def _r_parts(p, grid, caches, j, i, t_stencil):
     if not live:
         return
     nt, nx = grid.nt, grid.nx
-    cur = caches.curve(j, i)
     om = cur.times[:, -1]
     nodes, weights = cubic_t_stencil(grid, om)
     scale = cur.gain[:, -1][:, None] * x_trapezoid(grid)[None, :]
@@ -169,15 +158,12 @@ def _r_parts(p, grid, caches, j, i, t_stencil):
             yield base + qn[:, None], coeff * wn[:, None]
 
 
-def _b_parts(p, grid, caches, j, i, t_stencil):
+def _b_parts(p, grid, j, cur, cw, t_stencil):
     """B: off-diagonal zero-order coupling integrated along the curve.
     Parts (nt, S), one per x-neighbour and t-node of each sample."""
     row = p.coupling[j - 1]
     live = _live(row, skip=j)
     if not live:
-        return
-    cur, cw = _along(caches, j, i)
-    if cur is None:
         return
     nt, nx = grid.nt, grid.nx
     i0, thx = locate_x(grid, cur.xi)
@@ -194,15 +180,12 @@ def _b_parts(p, grid, caches, j, i, t_stencil):
             yield c1 + qn, C * wx1 * wn
 
 
-def _h_parts(p, grid, caches, j, i, t_stencil):
+def _h_parts(p, grid, j, cur, cw, t_stencil):
     """H: each component's value at the end opposite to its prescribed
     side, integrated along the curve.  Parts (nt, S)."""
     row = p.boundary_inputs[j - 1]
     live = _live(row)
     if not live:
-        return
-    cur, cw = _along(caches, j, i)
-    if cur is None:
         return
     nt, nx = grid.nt, grid.nx
     nodes, weights = t_stencil()
@@ -213,7 +196,7 @@ def _h_parts(p, grid, caches, j, i, t_stencil):
             yield base + qn, C * wn
 
 
-def _g_parts(p, grid, caches, j, i, t_stencil):
+def _g_parts(p, grid, caches, j, i, cur, cw, t_stencil):
     """G: the spatial integral (Volterra over [0, xi] or full-range) at
     each curve sample, integrated along the curve.  Parts (nt, nx, nt),
     one per component k: the weight on u_k(x_p, t_r), summed over the
@@ -223,9 +206,6 @@ def _g_parts(p, grid, caches, j, i, t_stencil):
     row = p.volterra_kernels[j - 1]
     live = _live(row)
     if not live:
-        return
-    cur, cw = _along(caches, j, i)
-    if cur is None:
         return
     nt, nx = grid.nt, grid.nx
     samples = len(cur.xi)
@@ -242,8 +222,24 @@ def _g_parts(p, grid, caches, j, i, t_stencil):
         yield (k - 1) * nx * nt + cols, np.swapaxes(W3, 1, 2) @ interp
 
 
-# H before G: the order in which assembly sums a matrix entry's terms
-_PIECES = (_r_parts, _b_parts, _h_parts, _g_parts)
+def _block_parts(p, grid, caches, j, i):
+    """The parts of K on block (j, i), in the order R, B, H, G in which
+    assembly sums a matrix entry's terms.  A single-point curve (the node
+    lies on its own boundary side) stops after R: every integral along it
+    vanishes.  Otherwise B, H and G share the quadrature weights cw[q, s]
+    (signed trapezoid times integrating factor) and the cubic t-stencil
+    of the curve samples, computed on first use and kept only while the
+    block is processed: kept per block, the stencils would take 8 arrays
+    the size of the curve times each."""
+    cur = caches.curve(j, i)
+    yield from _r_parts(p, grid, j, cur)
+    if len(cur.xi) < 2:
+        return
+    cw = cur.trap[None, :] * cur.weight
+    t_stencil = functools.cache(lambda: cubic_t_stencil(grid, cur.times))
+    yield from _b_parts(p, grid, j, cur, cw, t_stencil)
+    yield from _h_parts(p, grid, j, cur, cw, t_stencil)
+    yield from _g_parts(p, grid, caches, j, i, cur, cw, t_stencil)
 
 
 def _forcing(p, grid, caches, j, i):
@@ -251,56 +247,23 @@ def _forcing(p, grid, caches, j, i):
     fj = p.forcing[j - 1]
     if ex.is_zero(fj):
         return np.zeros(grid.nt)
-    cur, cw = _along(caches, j, i)
-    if cur is None:
+    cur = caches.curve(j, i)
+    if len(cur.xi) < 2:
         return np.zeros(grid.nt)
     fv = _eval_on(fj, cur.xi[None, :], cur.times, cur.times.shape)
-    return np.einsum("qs,qs->q", cw, fv)
+    return np.einsum("qs,qs->q", cur.trap[None, :] * cur.weight, fv)
 
 
-def _t_stencil(grid, caches, j, i):
-    """A function returning the cubic t-stencil of block (j, i)'s curve
-    samples, which B, H and G all read.  It computes the stencil on its
-    first call and keeps it only as long as the block is being processed:
-    kept per block, the stencils would take 8 arrays the size of the curve
-    times each."""
-    times = caches.curve(j, i).times
-    return functools.cache(lambda: cubic_t_stencil(grid, times))
-
-
-def _apply(pieces, p, grid, u, caches):
+def apply_K(p, grid, u, caches=None):
+    """K = R + B + G + H applied to u, one block's parts at a time."""
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
     flat = u.values.reshape(-1)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            t_stencil = _t_stencil(grid, caches, j, i)
-            for piece in pieces:
-                for cols, w in piece(p, grid, caches, j, i, t_stencil):
-                    out.values[j - 1, i] += (w * flat[cols]).reshape(grid.nt, -1).sum(1)
+            for cols, w in _block_parts(p, grid, caches, j, i):
+                out.values[j - 1, i] += (w * flat[cols]).reshape(grid.nt, -1).sum(1)
     return out
-
-
-def apply_R(p, grid, u, caches=None):
-    """Boundary-integral operator: transport the integral boundary data
-    from the component's own side along the curve."""
-    return _apply((_r_parts,), p, grid, u, caches)
-
-
-def apply_B(p, grid, u, caches=None):
-    """Off-diagonal zero-order coupling integrated along the curve."""
-    return _apply((_b_parts,), p, grid, u, caches)
-
-
-def apply_G(p, grid, u, caches=None):
-    """Spatial-integral (Volterra or full-range) terms along the curve."""
-    return _apply((_g_parts,), p, grid, u, caches)
-
-
-def apply_H(p, grid, u, caches=None):
-    """Boundary-value coupling: reads each component at the end opposite
-    to its prescribed side, integrated along the curve."""
-    return _apply((_h_parts,), p, grid, u, caches)
 
 
 def apply_F(p, grid, caches=None):
@@ -312,11 +275,6 @@ def apply_F(p, grid, caches=None):
         for i in range(grid.nx):
             out.values[j - 1, i] = _forcing(p, grid, caches, j, i)
     return out
-
-
-def apply_K(p, grid, u, caches=None):
-    """Sum of the four linear operators."""
-    return _apply(_PIECES, p, grid, u, caches)
 
 
 @dataclass
@@ -344,11 +302,9 @@ def stencil_block(p, grid, caches, j, i):
     nt = grid.nt
     cols = [np.zeros((nt, 0), dtype=np.int64)]
     weights = [np.zeros((nt, 0))]
-    t_stencil = _t_stencil(grid, caches, j, i)
-    for piece in _PIECES:
-        for c, w in piece(p, grid, caches, j, i, t_stencil):
-            cols.append(c.reshape(nt, -1))
-            weights.append(w.reshape(nt, -1))
+    for c, w in _block_parts(p, grid, caches, j, i):
+        cols.append(c.reshape(nt, -1))
+        weights.append(w.reshape(nt, -1))
     const = _forcing(p, grid, caches, j, i)
     return np.concatenate(cols, axis=1), np.concatenate(weights, axis=1), const
 

@@ -102,7 +102,6 @@ def test_zero_span_curve(resonant_problem):
     assert curve.times[0] == 1.0
     assert curve.gain[0] == 1.0
     assert curve.weight[0] == pytest.approx(math.pi / 2.0, abs=1e-15)
-    assert curve.step == 0.0
 
 
 # --- structural properties --------------------------------------------------

@@ -272,6 +272,16 @@ def test_check_levy_reports_failing_pairs(tmp_path, capsys):
             assert len(pr["witness"]) == 2
 
 
+def test_check_levy_refuses_zero_delta(tmp_path, capsys):
+    code = run(
+        tmp_path, "check-levy", "--builtin", "example13", "--nx", "9", "--nt", "8", "--delta", "0"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "check-levy.json").exists()
+
+
 def test_check_levy_passes_clean_problem(tmp_path):
     code = run(tmp_path, "check-levy", "--builtin", "levy-pass", "--nx", "9", "--nt", "8")
     assert code == 0

@@ -90,8 +90,6 @@ def test_assembly_is_deterministic(manufactured_problem):
 def test_capacity_guard(manufactured_problem):
     with pytest.raises(fr.CapacityError):
         fr.assemble(manufactured_problem, gr.Grid(81, 128))
-    with pytest.raises(fr.CapacityError):
-        fr.assemble(manufactured_problem, gr.Grid(9, 8), limit=10)
 
 
 def test_singular_spectrum_descending(manufactured_problem):
@@ -305,6 +303,22 @@ def test_levy_delta_default_scales_with_speed():
     p = build(n=2, m=1, a=["4", "-4"], b=[["0", "1"], ["1", "0"]])
     report = fr.check_levy(p, gr.Grid(9, 8))
     assert report.delta == pytest.approx(4e-6)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_levy_refuses_degenerate_delta(resonant_problem, delta):
+    # a zero or negative floor divides by zero gaps and turned this failing
+    # screen into "pass bound=inf"; an infinite or NaN floor leaves no node
+    # in the quotient bound
+    with pytest.raises(ValueError, match="delta"):
+        fr.check_levy(resonant_problem, gr.Grid(9, 8), delta=delta)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_levy_refuses_degenerate_tol(resonant_problem, tol):
+    # a NaN or infinite slack passed this failing screen
+    with pytest.raises(ValueError, match="tol"):
+        fr.check_levy(resonant_problem, gr.Grid(9, 8), tol=tol)
 
 
 # --- convergence tables -----------------------------------------------------

@@ -43,32 +43,49 @@ def rand_gf(grid, n, seed):
 # --- zero cases and anchoring -----------------------------------------------
 
 
+def zero_matrix(n):
+    return [[ex.parse("0")] * n for _ in range(n)]
+
+
 def test_operators_vanish_without_coefficients(resonant_problem):
+    # the resonant demo has only B live; with its coupling zeroed too,
+    # nothing is left
+    p = dataclasses.replace(resonant_problem, coupling=zero_matrix(2))
     grid = gr.Grid(9, 8)
     u = rand_gf(grid, 2, 0)
-    assert gr.sup_norm(op.apply_R(resonant_problem, grid, u)) == 0.0
-    assert gr.sup_norm(op.apply_G(resonant_problem, grid, u)) == 0.0
-    assert gr.sup_norm(op.apply_H(resonant_problem, grid, u)) == 0.0
-    assert gr.sup_norm(op.apply_F(resonant_problem, grid)) == 0.0
+    assert gr.sup_norm(op.apply_K(p, grid, u)) == 0.0
+    assert gr.sup_norm(op.apply_F(p, grid)) == 0.0
 
 
 def test_b_skips_diagonal():
     p = build(n=2, m=1, a=["1", "-1"], b=[["5", "0"], ["0", "-3*sin(t)"]])
     grid = gr.Grid(9, 8)
-    assert gr.sup_norm(op.apply_B(p, grid, rand_gf(grid, 2, 1))) == 0.0
+    assert gr.sup_norm(op.apply_K(p, grid, rand_gf(grid, 2, 1))) == 0.0
 
 
 def test_b_empty_for_single_component():
     p = build(b=[["7"]])
     grid = gr.Grid(9, 8)
-    assert gr.sup_norm(op.apply_B(p, grid, rand_gf(grid, 1, 2))) == 0.0
+    assert gr.sup_norm(op.apply_K(p, grid, rand_gf(grid, 1, 2))) == 0.0
 
 
 def test_anchoring_at_own_boundary(full_problem):
+    # B, G and H integrate along the curve, a single point at a node on its
+    # component's own side; each runs alone, with R zeroed and the diagonal
+    # coupling (the integrating factor, not B) kept
     grid = gr.Grid(17, 16)
     u = rand_gf(grid, 2, 3)
-    for apply in (op.apply_B, op.apply_G, op.apply_H):
-        out = apply(full_problem, grid, u)
+    zero = zero_matrix(2)
+    diagonal = [
+        [b if k == j else ex.parse("0") for k, b in enumerate(row)]
+        for j, row in enumerate(full_problem.coupling)
+    ]
+    only_b = dict(volterra_kernels=zero, boundary_inputs=zero)
+    only_g = dict(coupling=diagonal, boundary_inputs=zero)
+    only_h = dict(coupling=diagonal, volterra_kernels=zero)
+    for live in (only_b, only_g, only_h):
+        p = dataclasses.replace(full_problem, boundary_kernels=zero, **live)
+        out = op.apply_K(p, grid, u)
         assert np.all(out.values[0, 0, :] == 0.0)
         assert np.all(out.values[1, -1, :] == 0.0)
     ff = op.apply_F(full_problem, grid)
@@ -83,7 +100,7 @@ def test_r_integrates_constant_boundary_kernel():
     p = build(r=[["1"]])
     grid = gr.Grid(17, 16)
     u = gr.GridFunction(grid, np.ones((1, grid.nx, grid.nt)))
-    out = op.apply_R(p, grid, u)
+    out = op.apply_K(p, grid, u)
     assert np.max(np.abs(out.values - 1.0)) <= 1e-13
 
 
@@ -93,7 +110,7 @@ def test_r_weighs_kernel_against_state():
     p = build(r=[["x"]])
     grid = gr.Grid(33, 8)
     u = gr.GridFunction(grid, np.broadcast_to(grid.xs[None, :, None], (1, grid.nx, grid.nt)).copy())
-    out = op.apply_R(p, grid, u)
+    out = op.apply_K(p, grid, u)
     h = grid.dx
     want = 1.0 / 3.0 + h * h / 6.0
     assert np.max(np.abs(out.values - want)) <= 1e-12
@@ -103,7 +120,7 @@ def test_g_volterra_double_integral():
     p = build(g=[["1"]])
     grid = gr.Grid(33, 8)
     u = gr.GridFunction(grid, np.ones((1, grid.nx, grid.nt)))
-    out = op.apply_G(p, grid, u)
+    out = op.apply_K(p, grid, u)
     want = -(grid.xs**2) / 2.0
     assert np.max(np.abs(out.values - want[None, :, None])) <= 1e-10
 
@@ -112,7 +129,7 @@ def test_g_fredholm_variant_integrates_full_interval():
     p = build(g=[["1"]], volterra=False)
     grid = gr.Grid(33, 8)
     u = gr.GridFunction(grid, np.ones((1, grid.nx, grid.nt)))
-    out = op.apply_G(p, grid, u)
+    out = op.apply_K(p, grid, u)
     want = -grid.xs
     assert np.max(np.abs(out.values - want[None, :, None])) <= 1e-10
 
@@ -139,7 +156,7 @@ def test_h_transports_boundary_trace():
     p = build(h=[["1"]])
     grid = gr.Grid(33, 32)
     u = sample_pair(grid, ["x*sin(t)"])  # trace u(1,t) = sin(t)
-    out = op.apply_H(p, grid, u)
+    out = op.apply_K(p, grid, u)
     xg = grid.xs[:, None]
     tg = grid.ts[None, :]
     want = np.cos(tg - xg) - np.cos(tg)
@@ -166,7 +183,7 @@ def test_b_reproduces_resonant_modes(resonant_problem):
     # so B maps each explicit pair back to itself up to quadrature error
     grid = gr.Grid(33, 32)
     u = sample_pair(grid, problems.kernel_pair(1))
-    out = op.apply_B(resonant_problem, grid, u)
+    out = op.apply_K(resonant_problem, grid, u)
     assert np.max(np.abs(out.values - u.values)) <= 5e-3
 
 
@@ -175,7 +192,7 @@ def test_b_matches_dense_quadrature_oracle(resonant_problem):
     # two probe nodes, including the far corner (x=1, t=0)
     grid = gr.Grid(33, 32)
     u = sample_pair(grid, problems.kernel_pair(2))
-    out = op.apply_B(resonant_problem, grid, u)
+    out = op.apply_K(resonant_problem, grid, u)
     u1, u2 = [ex.parse(s) for s in problems.kernel_pair(2)]
     a = 2.0 / math.pi
     for j, i, q in [(1, grid.nx - 1, 0), (1, 20, 5), (2, 7, 11)]:
