@@ -317,6 +317,19 @@ def is_one(node):
     return isinstance(node, Const) and node.value == 1.0
 
 
+def mentions(node, var):
+    """True when variable var occurs anywhere in the tree."""
+    if isinstance(node, Var):
+        return node.name == var
+    if isinstance(node, Neg):
+        return mentions(node.child, var)
+    if isinstance(node, Call):
+        return mentions(node.arg, var)
+    if isinstance(node, BinOp):
+        return mentions(node.left, var) or mentions(node.right, var)
+    return False
+
+
 def neg(a):
     if isinstance(a, Const):
         return Const(-a.value)

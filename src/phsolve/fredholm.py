@@ -7,11 +7,19 @@ against a threshold tau: a clearly positive smallest singular value
 means the discrete problem is uniquely solvable, while singular values
 at discretization scale signal resonance.
 
-The decision needs only the two edges of the spectrum, sigma_min and
-sigma_max (which scales the default tau), so it takes them from the LU
-factors of A by two Lanczos runs, and the unique branch solves with the
-same factors.  Only the resonant branch pays for a full SVD: its report
-carries (numerical) kernel and cokernel bases, a truncated
+When no speed or coefficient of K mentions t (the forcing may), K
+commutes with shifts by one time step, so A is block-circulant in t and
+the DFT over t splits it into nt blocks of size n * nx, conjugate in
+pairs.  Such a problem is decided from the pooled singular values of
+the nt // 2 + 1 distinct blocks and solved block by block; its resonant
+branch decomposes each block and builds real kernel and cokernel bases
+from the complex modes.
+
+Any other problem is decided from the two edges of the spectrum,
+sigma_min and sigma_max (which scales the default tau), taken from the
+LU factors of A by two Lanczos runs, and the unique branch solves with
+the same factors.  Only its resonant branch pays for a full SVD of A:
+the report carries (numerical) kernel and cokernel bases, a truncated
 least-squares solution, and the solvability defect of the forcing.
 
 Also here: the screening test for the coupling/speed-gap compatibility
@@ -102,18 +110,58 @@ def factor(matrix):
 def singular_spectrum(matrix, lu=None):
     """Singular values of A, descending.
 
-    Without `lu`: all N values, from a dense SVD.  With the LU factors of
-    A (see `factor`): only the edges [sigma_max, sigma_min], each from one
-    implicitly restarted Lanczos run for the largest eigenvalue, of A^T A
-    through dense products and of (A^T A)^-1 = A^-1 A^-T through the
-    factors.  A zero pivot gives sigma_min = 0 without a run.
+    Without `lu`: all N values, pooled from the Fourier blocks when the
+    problem is autonomous (see `_fourier_blocks`), otherwise from a dense
+    SVD.  With the LU factors of A (see `factor`): only the edges
+    [sigma_max, sigma_min], each from one implicitly restarted Lanczos
+    run for the largest eigenvalue, of A^T A through dense products and
+    of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
+    sigma_min = 0 without a run.
     """
     try:
-        if lu is None:
-            return svdvals(matrix.A)
-        return _edge_singular_values(matrix.A, lu)
+        if lu is not None:
+            return _edge_singular_values(matrix.A, lu)
+        if _autonomous(matrix.problem):
+            nt = matrix.grid.nt
+            per_block = np.stack([svdvals(b) for b in _fourier_blocks(matrix)])
+            pooled = np.repeat(per_block, _multiplicity(nt), axis=0).ravel()
+            return np.sort(pooled)[::-1]
+        return svdvals(matrix.A)
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
+
+
+def _autonomous(p):
+    """True when no speed or coefficient of K mentions t; f may."""
+    entries = [*p.speeds]
+    for mat in (p.coupling, p.volterra_kernels, p.boundary_inputs, p.boundary_kernels):
+        entries.extend(e for row in mat for e in row)
+    return not any(ex.mentions(e, "t") for e in entries)
+
+
+def _fourier_blocks(matrix):
+    """Blocks k = 0 .. nt // 2 of the autonomous A in the DFT over t.
+
+    Unknowns are ordered (component, x-node, t-node) with t fastest, so
+    A.reshape(M, nt, M, nt)[:, q, :, r] with M = n * nx depends only on
+    (r - q) mod nt.  From block-row q = 0, S_s = A[:, 0, :, s], the block
+    acting on the k-th rfft coefficient of u is sum_s S_s exp(2 pi i k s / nt);
+    k and nt - k are conjugate.  Blocks k = 0 and k = nt / 2 are real and
+    returned as real arrays, so their SVDs give real vectors.
+    """
+    from numpy.fft import rfft
+
+    nt = matrix.grid.nt
+    m = matrix.size // nt
+    row0 = matrix.A.reshape(m, nt, m, nt)[:, 0]
+    hat = np.moveaxis(rfft(row0, axis=-1), -1, 0).conj()
+    return [b.real if mult == 1 else b for b, mult in zip(hat, _multiplicity(nt))]
+
+
+def _multiplicity(nt):
+    """How often each rfft block's singular values occur in A's spectrum:
+    once for the real blocks k = 0 and k = nt / 2, twice for the others."""
+    return [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
 
 
 def _largest_eigenvalue(size, matvec):
@@ -171,14 +219,16 @@ def solve_alternative(p, grid, tau=None, matrix=None):
     """Solve A u = rhs or, when A is numerically rank-deficient, report
     the kernel data and a truncated least-squares solution.
 
-    tau, when given, must be a number >= 0: singular values below it count
-    as zero.  A negative tau would let an exactly singular A through to
-    the solve.
+    tau, when given, must be a finite number >= 0: singular values below
+    it count as zero.  A negative tau would let an exactly singular A
+    through to the solve; an infinite one would count every value as zero.
     """
-    if tau is not None and not tau >= 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
     if matrix is None:
         matrix = assemble(p, grid)
+    if _autonomous(matrix.problem):
+        return _fourier_alternative(p, grid, tau, matrix)
     size = matrix.size
     lu = factor(matrix)
     sigma = singular_spectrum(matrix, lu)
@@ -210,6 +260,69 @@ def solve_alternative(p, grid, tau=None, matrix=None):
     return FredholmReport(
         s, float(tau), False, kdim, solution, res, defect, kernel, cokernel, matrix
     )
+
+
+def _fourier_alternative(p, grid, tau, matrix):
+    """solve_alternative for an autonomous problem, one Fourier block at a
+    time.  A solution is assembled in the half spectrum and returned by
+    irfft, so it is real.  A complex singular pair (v, w) of block
+    0 < k < nt / 2, spread over t as v exp(2 pi i k r / nt) / sqrt(nt),
+    gives two real ones, its real and imaginary parts scaled by sqrt(2);
+    blocks 0 and nt / 2 are real and give one each."""
+    from numpy.fft import rfft
+
+    nt = grid.nt
+    sigma = singular_spectrum(matrix)
+    if tau is None:
+        tau = default_tolerance(sigma, matrix.size)
+    blocks = _fourier_blocks(matrix)
+    rhs_hat = rfft(matrix.rhs.reshape(-1, nt), axis=-1).T
+    if float(sigma[-1]) > tau:
+        u_hat = [np.linalg.solve(b, r) for b, r in zip(blocks, rhs_hat)]
+        solution, res = _from_half_spectrum(p, grid, u_hat, matrix)
+        empty = np.zeros((matrix.size, 0))
+        return FredholmReport(
+            sigma[[0, -1]], float(tau), True, 0, solution, res, None, empty, empty, matrix
+        )
+    try:
+        # all blocks before any product: numpy and scipy link separate BLAS
+        # libraries, and alternating them keeps both thread pools spinning
+        # for the other's cores
+        factors = [svd(b) for b in blocks]
+    except Exception as err:
+        raise SpectrumError(f"block decomposition failed: {err}") from err
+    u_hat, kernel, cokernel, order = [], [], [], []
+    for k, ((left, s, right_h), mult) in enumerate(zip(factors, _multiplicity(nt))):
+        keep = s >= tau
+        coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
+        u_hat.append(right_h[keep].conj().T @ coeffs)
+        wave = np.exp(2j * np.pi * k * np.arange(nt) / nt) / math.sqrt(nt)
+        for vecs, out in ((right_h[~keep].conj(), kernel), (left[:, ~keep].T, cokernel)):
+            full = (vecs[:, :, None] * wave).reshape(len(vecs), matrix.size)
+            if mult == 1:
+                out.extend(full.real)
+            else:
+                out.extend(math.sqrt(2.0) * v for pair in zip(full.real, full.imag) for v in pair)
+        order.extend(np.repeat(s[~keep], mult))
+    solution, res = _from_half_spectrum(p, grid, u_hat, matrix)
+    # columns by descending singular value, as the dense SVD orders them
+    rank = np.argsort(-np.asarray(order), kind="stable")
+    kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
+    cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
+    defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
+    return FredholmReport(
+        sigma, float(tau), False, len(order), solution, res, defect, kernel, cokernel, matrix
+    )
+
+
+def _from_half_spectrum(p, grid, u_hat, matrix):
+    """The real grid function with rfft coefficients u_hat[k] over t, and
+    its residual."""
+    from numpy.fft import irfft
+
+    flat = irfft(np.array(u_hat).T, n=grid.nt, axis=-1)
+    solution = GridFunction(grid, flat.reshape(p.n, grid.nx, grid.nt))
+    return solution, residual(p, grid, solution, caches=matrix.caches)
 
 
 def residual(p, grid, u, caches=None):
@@ -327,7 +440,8 @@ def convergence_study(p, grids, exact=None, tau=None):
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
             matrix = assemble(p, grid)
-            value = float(singular_spectrum(matrix, factor(matrix))[-1])
+            lu = None if _autonomous(p) else factor(matrix)
+            value = float(singular_spectrum(matrix, lu)[-1])
             exact_level = False
         order = None
         note = ""

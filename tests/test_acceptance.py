@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with -v to get a pass/fail line per criterion; each test also prints
-the measured numbers it judged.  The two finest-grid decompositions cost
-a few minutes of dense SVD time and are shared through module fixtures.
+the measured numbers it judged.  The decompositions on the three grids
+are shared through module fixtures: the resonant demo's full spectrum
+comes from its Fourier blocks in t, the well-posed problem's edges from
+LU factors of its dense matrix.
 """
 
 import math

@@ -183,6 +183,18 @@ def test_overflowing_gain_exits_one(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_infinite_tau_exits_one(tmp_path, capsys):
+    # tau = inf counted every singular value as zero, exited 2 and wrote
+    # "tau": Infinity, which is not JSON, into report.json
+    code = run(
+        tmp_path, "solve", "--builtin", "pure-forcing", "--nx", "5", "--nt", "4", "--tau", "inf"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "tau" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_negative_tau_exits_one(tmp_path, capsys):
     # exactly singular (every constant is a fixed point): a negative tau
     # used to send it to the LU solve and write a NaN solution

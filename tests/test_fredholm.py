@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, svdvals
+from scipy.linalg import LinAlgWarning, subspace_angles, svd, svdvals
 
 from phsolve import expr as ex
 from phsolve import fredholm as fr
@@ -224,14 +225,16 @@ def test_exactly_singular_matrix_takes_resonant_branch():
     assert report.defect == 0.0
 
 
-@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan])
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf])
 def test_tau_below_zero_or_nan_rejected_before_factoring(monkeypatch, tau):
     # with tau = -1 the exactly singular problem above used to take the
-    # unique branch and return a NaN solution
+    # unique branch and return a NaN solution; tau = inf counted every
+    # singular value as zero
     p = build(r=[["1"]], f=["1"])
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(p, grid)
     monkeypatch.setattr(fr, "factor", lambda _: pytest.fail("factored A"))
+    monkeypatch.setattr(fr, "singular_spectrum", lambda *_: pytest.fail("decided"))
     with pytest.raises(ValueError, match="tau must be >= 0"):
         fr.solve_alternative(p, grid, tau=tau, matrix=matrix)
 
@@ -240,6 +243,130 @@ def test_sigma_min_property(resonant_report):
     _, _, report = resonant_report
     assert report.sigma_min == float(report.sigma[-1])
     assert report.sigma_min <= 1e-2
+
+
+# --- Fourier blocks for autonomous problems ---------------------------------
+
+# every piece of K live and free of t; only the forcing depends on t
+T_FREE = {
+    "n": 2,
+    "m": 1,
+    "a": ["1", "-1-x/2"],
+    "b": [["0.1", "0.3*sin(x)"], ["0.2", "-0.1*cos(x)"]],
+    "g": [["0.5", "0.1*cos(x)"], ["0.2*sin(x)", "0.3"]],
+    "h": [["0.1", "0.2"], ["0.05*x", "0.1"]],
+    "r": [["0.2", "0.1*x"], ["0", "0.3"]],
+    "f": ["sin(t)", "x*cos(t)"],
+}
+AUTONOMOUS = ["example13", "pure-forcing", "t-free-volterra", "t-free-fredholm"]
+
+
+def autonomous_case(case):
+    if case in problems.BUILTINS:
+        return problems.get_builtin(case)
+    return pb.from_dict({**T_FREE, "volterra": case.endswith("-volterra")})
+
+
+def tau_in_gap(s):
+    """A tau inside the spectrum: the geometric middle of the widest
+    relative gap in its smaller half, or above all of it when that half
+    has no gap."""
+    lower = s[len(s) // 2 :]
+    ratios = lower[:-1] / lower[1:]
+    i = int(np.argmax(ratios))
+    if ratios[i] < 1.01:
+        return 2.0 * float(s[0])
+    return float(np.sqrt(lower[i] * lower[i + 1]))
+
+
+@pytest.mark.parametrize("shape", [(17, 16), (33, 32), (13, 11)])
+@pytest.mark.parametrize("case", AUTONOMOUS)
+def test_fourier_path_matches_dense_oracle(case, shape):
+    p = autonomous_case(case)
+    grid = gr.Grid(*shape)
+    matrix = fr.assemble(p, grid)
+    left, s, right_t = svd(matrix.A)
+    assert np.max(np.abs(fr.singular_spectrum(matrix) - s)) <= 1e-12 * s[0]
+    for tau in (None, tau_in_gap(s)):
+        report = fr.solve_alternative(p, grid, tau=tau, matrix=matrix)
+        small = s < (fr.default_tolerance(s, matrix.size) if tau is None else tau)
+        keep = ~small
+        assert report.unique is not small.any()
+        assert report.kernel_dim == int(np.count_nonzero(small))
+        want = right_t[keep].T @ ((left[:, keep].T @ matrix.rhs) / s[keep])
+        got = report.solution.values.reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        if report.unique:
+            assert np.max(np.abs(report.sigma - s[[0, -1]])) <= 1e-12 * s[0]
+            assert report.defect is None
+            continue
+        assert np.max(np.abs(report.sigma - s)) <= 1e-12 * s[0]
+        cokernel = left[:, small]
+        pairs = ((report.kernel_basis, right_t[small].T), (report.cokernel_basis, cokernel))
+        for basis, oracle in pairs:
+            assert basis.dtype == np.float64
+            assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-12
+            assert np.max(subspace_angles(basis, oracle)) <= 1e-10
+        want_defect = np.linalg.norm(cokernel.T @ matrix.rhs)
+        assert report.defect == pytest.approx(want_defect, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(33, 32), (13, 11)])
+@pytest.mark.parametrize("case", AUTONOMOUS)
+def test_autonomous_matrix_is_block_circulant(case, shape):
+    grid = gr.Grid(*shape)
+    a = fr.assemble(autonomous_case(case), grid).A
+    m = a.shape[0] // grid.nt
+    row0 = a.reshape(m, grid.nt, m, grid.nt)[:, 0]
+    rebuilt = np.stack([np.roll(row0, q, axis=-1) for q in range(grid.nt)], axis=1)
+    assert np.max(np.abs(a - rebuilt.reshape(a.shape))) <= 1e-13 * np.max(np.abs(a))
+
+
+class FactoredA(Exception):
+    pass
+
+
+def _refuse_lu(*_args, **_kwargs):
+    raise FactoredA
+
+
+def test_autonomous_problems_never_factor_A(monkeypatch):
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    grid = gr.Grid(9, 8)
+    for case in AUTONOMOUS:
+        for tau in (None, 1e-2):
+            fr.solve_alternative(autonomous_case(case), grid, tau=tau)
+    rows = fr.convergence_study(problems.example13(), [(5, 4), (9, 8)])
+    assert rows[1].value < rows[0].value
+
+
+@pytest.mark.parametrize(
+    "key, index, entry, dense",
+    [
+        ("a", (0,), "1+0.5*cos(t)", True),
+        ("b", (0, 0), "0.1*cos(t)", True),
+        ("b", (0, 1), "0.3*sin(t)", True),
+        ("g", (1, 0), "0.2*sin(t)", True),
+        ("h", (1, 0), "0.05*cos(t)", True),
+        ("r", (0, 1), "0.1*sin(t)", True),
+        ("f", (0,), "cos(2*t)+x", False),
+    ],
+)
+def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, entry, dense):
+    data = copy.deepcopy(T_FREE)
+    *outer, last = index
+    target = data[key]
+    for i in outer:
+        target = target[i]
+    target[last] = entry
+    p = pb.from_dict(data)
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    grid = gr.Grid(9, 8)
+    if dense:
+        with pytest.raises(FactoredA):
+            fr.solve_alternative(p, grid)
+    else:
+        assert fr.solve_alternative(p, grid).unique is True
 
 
 # --- residual ---------------------------------------------------------------
