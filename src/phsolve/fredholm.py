@@ -7,19 +7,17 @@ against a threshold tau: a clearly positive smallest singular value
 means the discrete problem is uniquely solvable, while singular values
 at discretization scale signal resonance.
 
+The alternative runs over the diagonal blocks of A in a DFT over t.
 When no speed or coefficient of K mentions t (the forcing may), K
 commutes with shifts by one time step, so A is block-circulant in t and
-the DFT over t splits it into nt blocks of size n * nx, conjugate in
-pairs.  Such a problem is decided from the pooled singular values of
-the nt // 2 + 1 distinct blocks and solved block by block; its resonant
-branch decomposes each block and builds real kernel and cokernel bases
-from the complex modes.
-
-Any other problem is decided from the two edges of the spectrum,
-sigma_min and sigma_max (which scales the default tau), taken from the
-LU factors of A by two Lanczos runs, and the unique branch solves with
-the same factors.  Only its resonant branch pays for a full SVD of A:
-the report carries (numerical) kernel and cokernel bases, a truncated
+the DFT splits it into nt blocks of size n * nx, conjugate in pairs.
+Any other A is its own one block.  The nt // 2 + 1 distinct Fourier
+blocks are decided from their pooled singular values; the one block
+from the two edges of its spectrum, sigma_min and sigma_max (which
+scales the default tau), taken from the LU factors of A by two Lanczos
+runs.  After the decision both are handled alike: the unique branch
+solves block by block, and the resonant branch decomposes each block
+into real (numerical) kernel and cokernel bases, a truncated
 least-squares solution, and the solvability defect of the forcing.
 
 Also here: the screening test for the coupling/speed-gap compatibility
@@ -110,9 +108,8 @@ def factor(matrix):
 def singular_spectrum(matrix, lu=None):
     """Singular values of A, descending.
 
-    Without `lu`: all N values, pooled from the Fourier blocks when the
-    problem is autonomous (see `_fourier_blocks`), otherwise from a dense
-    SVD.  With the LU factors of A (see `factor`): only the edges
+    Without `lu`: all N values, pooled from the blocks of A (see
+    `_blocks`).  With the LU factors of A (see `factor`): only the edges
     [sigma_max, sigma_min], each from one implicitly restarted Lanczos
     run for the largest eigenvalue, of A^T A through dense products and
     of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
@@ -121,47 +118,58 @@ def singular_spectrum(matrix, lu=None):
     try:
         if lu is not None:
             return _edge_singular_values(matrix.A, lu)
-        if _autonomous(matrix.problem):
-            nt = matrix.grid.nt
-            per_block = np.stack([svdvals(b) for b in _fourier_blocks(matrix)])
-            pooled = np.repeat(per_block, _multiplicity(nt), axis=0).ravel()
-            return np.sort(pooled)[::-1]
-        return svdvals(matrix.A)
+        blocks, multiplicity = _blocks(matrix)
+        return _pooled([svdvals(b) for b in blocks], multiplicity)
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
 
-def _autonomous(p):
-    """True when no speed or coefficient of K mentions t; f may."""
+def _period(matrix):
+    """Length of the DFT over t that splits A into blocks: nt when no
+    speed or coefficient of K mentions t (f may), since A then commutes
+    with shifts by one time step; otherwise 1, A being its own block."""
+    p = matrix.problem
     entries = [*p.speeds]
     for mat in (p.coupling, p.volterra_kernels, p.boundary_inputs, p.boundary_kernels):
         entries.extend(e for row in mat for e in row)
-    return not any(ex.mentions(e, "t") for e in entries)
+    return 1 if any(ex.mentions(e, "t") for e in entries) else matrix.grid.nt
 
 
-def _fourier_blocks(matrix):
-    """Blocks k = 0 .. nt // 2 of the autonomous A in the DFT over t.
+def _blocks(matrix):
+    """The diagonal blocks of A in the DFT over t (see `_period`), and how
+    often each block's singular values occur in A's spectrum; the
+    multiplicities sum to the period.
 
-    Unknowns are ordered (component, x-node, t-node) with t fastest, so
-    A.reshape(M, nt, M, nt)[:, q, :, r] with M = n * nx depends only on
-    (r - q) mod nt.  From block-row q = 0, S_s = A[:, 0, :, s], the block
-    acting on the k-th rfft coefficient of u is sum_s S_s exp(2 pi i k s / nt);
-    k and nt - k are conjugate.  Blocks k = 0 and k = nt / 2 are real and
-    returned as real arrays, so their SVDs give real vectors.
+    With period nt, the unknowns, ordered (component, x-node, t-node)
+    with t fastest, make A.reshape(M, nt, M, nt)[:, q, :, r] with
+    M = n * nx depend only on (r - q) mod nt.  From block-row q = 0,
+    S_s = A[:, 0, :, s], the block acting on the k-th rfft coefficient of
+    u is sum_s S_s exp(2 pi i k s / nt) for k = 0 .. nt // 2.  Blocks k and
+    nt - k are conjugate, so these occur twice; blocks k = 0 and k = nt / 2
+    are real, occur once, and are returned as real arrays, so their SVDs
+    give real vectors.  With period 1, A is returned as it is.
     """
-    from numpy.fft import rfft
-
-    nt = matrix.grid.nt
+    nt = _period(matrix)
+    if nt == 1:
+        return [matrix.A], [1]
     m = matrix.size // nt
     row0 = matrix.A.reshape(m, nt, m, nt)[:, 0]
-    hat = np.moveaxis(rfft(row0, axis=-1), -1, 0).conj()
-    return [b.real if mult == 1 else b for b, mult in zip(hat, _multiplicity(nt))]
+    hat = np.moveaxis(np.fft.rfft(row0, axis=-1), -1, 0).conj()
+    multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
+    return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
 
-def _multiplicity(nt):
-    """How often each rfft block's singular values occur in A's spectrum:
-    once for the real blocks k = 0 and k = nt / 2, twice for the others."""
-    return [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
+def _pooled(per_block, multiplicity):
+    """A's singular values, descending, from those of its blocks."""
+    return np.sort(np.repeat(np.stack(per_block), multiplicity, axis=0).ravel())[::-1]
+
+
+def _decide(matrix):
+    """The spectrum the alternative reads, with the LU factors of A when
+    A is its own one block: then the edges, from the factors; otherwise
+    every value, pooled from the Fourier blocks, and A is not factored."""
+    lu = factor(matrix) if _period(matrix) == 1 else None
+    return singular_spectrum(matrix, lu), lu
 
 
 def _largest_eigenvalue(size, matvec):
@@ -222,107 +230,82 @@ def solve_alternative(p, grid, tau=None, matrix=None):
     tau, when given, must be a finite number >= 0: singular values below
     it count as zero.  A negative tau would let an exactly singular A
     through to the solve; an infinite one would count every value as zero.
+
+    Both branches work block by block (see `_blocks`) on the rfft
+    coefficients of rhs over the period.  A complex singular pair (v, w)
+    of a block that occurs twice, spread over t as
+    v exp(2 pi i k r / nt) / sqrt(nt), gives two real ones, its real and
+    imaginary parts scaled by sqrt(2); a real block gives one.
     """
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
     if matrix is None:
         matrix = assemble(p, grid)
-    if _autonomous(matrix.problem):
-        return _fourier_alternative(p, grid, tau, matrix)
-    size = matrix.size
-    lu = factor(matrix)
-    sigma = singular_spectrum(matrix, lu)
-    if tau is None:
-        tau = default_tolerance(sigma, size)
-    if float(sigma[-1]) > tau:
-        flat = lu_solve(lu, matrix.rhs)
-        solution = GridFunction(grid, flat.reshape(p.n, grid.nx, grid.nt))
-        res = residual(p, grid, solution, caches=matrix.caches)
-        empty = np.zeros((size, 0))
-        return FredholmReport(
-            sigma, float(tau), True, 0, solution, res, None, empty, empty, matrix
-        )
-    del lu  # an N x N copy the full SVD below can use
-    try:
-        left, s, right_t = svd(matrix.A)
-    except Exception as err:
-        raise SpectrumError(f"full decomposition failed: {err}") from err
-    small = s < tau
-    kdim = int(np.count_nonzero(small))
-    kernel = right_t[small].T.copy()
-    cokernel = left[:, small].copy()
-    keep = ~small
-    coeffs = (left[:, keep].T @ matrix.rhs) / s[keep]
-    flat = right_t[keep].T @ coeffs
-    solution = GridFunction(grid, flat.reshape(p.n, grid.nx, grid.nt))
-    res = residual(p, grid, solution, caches=matrix.caches)
-    defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
-    return FredholmReport(
-        s, float(tau), False, kdim, solution, res, defect, kernel, cokernel, matrix
-    )
-
-
-def _fourier_alternative(p, grid, tau, matrix):
-    """solve_alternative for an autonomous problem, one Fourier block at a
-    time.  A solution is assembled in the half spectrum and returned by
-    irfft, so it is real.  A complex singular pair (v, w) of block
-    0 < k < nt / 2, spread over t as v exp(2 pi i k r / nt) / sqrt(nt),
-    gives two real ones, its real and imaginary parts scaled by sqrt(2);
-    blocks 0 and nt / 2 are real and give one each."""
-    from numpy.fft import rfft
-
-    nt = grid.nt
-    sigma = singular_spectrum(matrix)
+    sigma, lu = _decide(matrix)
     if tau is None:
         tau = default_tolerance(sigma, matrix.size)
-    blocks = _fourier_blocks(matrix)
-    rhs_hat = rfft(matrix.rhs.reshape(-1, nt), axis=-1).T
-    if float(sigma[-1]) > tau:
-        u_hat = [np.linalg.solve(b, r) for b, r in zip(blocks, rhs_hat)]
-        solution, res = _from_half_spectrum(p, grid, u_hat, matrix)
-        empty = np.zeros((matrix.size, 0))
-        return FredholmReport(
-            sigma[[0, -1]], float(tau), True, 0, solution, res, None, empty, empty, matrix
-        )
-    try:
-        # all blocks before any product: numpy and scipy link separate BLAS
-        # libraries, and alternating them keeps both thread pools spinning
-        # for the other's cores
-        factors = [svd(b) for b in blocks]
-    except Exception as err:
-        raise SpectrumError(f"block decomposition failed: {err}") from err
-    u_hat, kernel, cokernel, order = [], [], [], []
-    for k, ((left, s, right_h), mult) in enumerate(zip(factors, _multiplicity(nt))):
-        keep = s >= tau
-        coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
-        u_hat.append(right_h[keep].conj().T @ coeffs)
-        wave = np.exp(2j * np.pi * k * np.arange(nt) / nt) / math.sqrt(nt)
-        for vecs, out in ((right_h[~keep].conj(), kernel), (left[:, ~keep].T, cokernel)):
-            full = (vecs[:, :, None] * wave).reshape(len(vecs), matrix.size)
+    blocks, multiplicity = _blocks(matrix)
+    period = sum(multiplicity)
+    rhs_hat = _to_blocks(matrix.rhs, period)
+    unique = bool(sigma[-1] > tau)
+    if unique:
+        if lu is None:
+            u_hat = [np.linalg.solve(b, r) for b, r in zip(blocks, rhs_hat)]
+        else:
+            u_hat = [lu_solve(lu, rhs_hat[0])]
+        sigma = sigma[[0, -1]]
+        kernel = cokernel = np.zeros((matrix.size, 0))
+        defect = None
+    else:
+        del lu  # an N x N copy the SVD of a one-block A can use
+        try:
+            # all blocks before any product: numpy and scipy link separate
+            # BLAS libraries, and alternating them keeps both thread pools
+            # spinning for the other's cores
+            factors = [svd(b) for b in blocks]
+        except Exception as err:
+            raise SpectrumError(f"decomposition failed: {err}") from err
+        u_hat, kernel, cokernel, order = [], [], [], []
+        for k, ((left, s, right_h), mult) in enumerate(zip(factors, multiplicity)):
+            keep = s >= tau
+            coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
+            u_hat.append(right_h[keep].conj().T @ coeffs)
+            wave = np.exp(2j * np.pi * k * np.arange(period) / period) / math.sqrt(period)
             if mult == 1:
-                out.extend(full.real)
-            else:
-                out.extend(math.sqrt(2.0) * v for pair in zip(full.real, full.imag) for v in pair)
-        order.extend(np.repeat(s[~keep], mult))
-    solution, res = _from_half_spectrum(p, grid, u_hat, matrix)
-    # columns by descending singular value, as the dense SVD orders them
-    rank = np.argsort(-np.asarray(order), kind="stable")
-    kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
-    cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
-    defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
+                wave = wave.real
+            for vecs, out in ((right_h[~keep].conj(), kernel), (left[:, ~keep].T, cokernel)):
+                full = (vecs[:, :, None] * wave).reshape(len(vecs), matrix.size)
+                if mult == 1:
+                    out.extend(full)
+                else:
+                    root2 = math.sqrt(2.0)
+                    out.extend(root2 * v for pair in zip(full.real, full.imag) for v in pair)
+            order.extend(np.repeat(s[~keep], mult))
+        # columns by descending singular value, as a dense SVD orders them
+        rank = np.argsort(-np.asarray(order), kind="stable")
+        kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
+        cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
+        defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
+        sigma = _pooled([s for _, s, _ in factors], multiplicity)
+    solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
+    res = residual(p, grid, solution, caches=matrix.caches)
     return FredholmReport(
-        sigma, float(tau), False, len(order), solution, res, defect, kernel, cokernel, matrix
+        sigma, float(tau), unique, kernel.shape[1], solution, res, defect, kernel, cokernel, matrix
     )
 
 
-def _from_half_spectrum(p, grid, u_hat, matrix):
-    """The real grid function with rfft coefficients u_hat[k] over t, and
-    its residual."""
-    from numpy.fft import irfft
+def _to_blocks(flat, period):
+    """The rfft coefficients over t of a flat grid vector, one per block."""
+    if period == 1:
+        return [flat]
+    return np.fft.rfft(flat.reshape(-1, period), axis=-1).T
 
-    flat = irfft(np.array(u_hat).T, n=grid.nt, axis=-1)
-    solution = GridFunction(grid, flat.reshape(p.n, grid.nx, grid.nt))
-    return solution, residual(p, grid, solution, caches=matrix.caches)
+
+def _from_blocks(u_hat, period):
+    """The real flat grid vector with rfft coefficients u_hat over t."""
+    if period == 1:
+        return u_hat[0]
+    return np.fft.irfft(np.array(u_hat).T, n=period, axis=-1)
 
 
 def residual(p, grid, u, caches=None):
@@ -439,9 +422,7 @@ def convergence_study(p, grids, exact=None, tau=None):
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            matrix = assemble(p, grid)
-            lu = None if _autonomous(p) else factor(matrix)
-            value = float(singular_spectrum(matrix, lu)[-1])
+            value = float(_decide(assemble(p, grid))[0][-1])
             exact_level = False
         order = None
         note = ""

@@ -46,16 +46,23 @@ def _parse_entry(src, key):
 
 
 def _parse_vector(src, n, key):
+    # a string has a length too: "00" would read as two entries
+    if not isinstance(src, list):
+        raise ValidationError(f"expected a list, got {type(src).__name__}", key)
     if len(src) != n:
         raise ValidationError(f"expected {n} entries, got {len(src)}", key)
     return [_parse_entry(e, f"{key}[{j + 1}]") for j, e in enumerate(src)]
 
 
 def _parse_matrix(src, n, key):
+    if not isinstance(src, list):
+        raise ValidationError(f"expected a list of rows, got {type(src).__name__}", key)
     if len(src) != n:
         raise ValidationError(f"expected {n} rows, got {len(src)}", key)
     out = []
     for j, row in enumerate(src):
+        if not isinstance(row, list):
+            raise ValidationError(f"expected a list, got {type(row).__name__}", f"{key}[{j + 1}]")
         if len(row) != n:
             raise ValidationError(f"expected {n} entries, got {len(row)}", f"{key}[{j + 1}]")
         out.append([_parse_entry(e, f"{key}[{j + 1}][{k + 1}]") for k, e in enumerate(row)])

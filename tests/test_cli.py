@@ -143,6 +143,21 @@ def test_invalid_problem_data_exits_one(tmp_path, capsys):
     assert "a[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("a", 5), ("b", [5, 5]), ("b", ["00", "00"])])
+def test_non_list_problem_data_exits_one(tmp_path, capsys, key, value):
+    # a number raised a TypeError traceback; strings of zeros read as a zero
+    # matrix and the solve exited 0
+    path = tmp_path / "not_lists.json"
+    data = to_dict(problems.example13())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    code = run(tmp_path, "solve", "--problem", str(path), "--nx", "5", "--nt", "4")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "speed",
     [

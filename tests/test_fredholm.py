@@ -212,12 +212,19 @@ def test_dichotomy_depends_on_tolerance(resonant_problem, resonant_report):
     assert strict.kernel_dim == 0
 
 
-def test_exactly_singular_matrix_takes_resonant_branch():
-    # r = 1 makes every constant a fixed point: A has an exact zero pivot
-    p = build(r=[["1"]])
+@pytest.mark.parametrize("speed", ["1", "1+0*t"])
+def test_exactly_singular_matrix_takes_resonant_branch(speed):
+    # r = 1 makes every constant a fixed point: A has an exact zero pivot.
+    # The speed 1+0*t mentions t, so A is its own one block and that pivot
+    # decides sigma_min = 0; with speed 1 the Fourier blocks decide
+    p = build(a=[speed], r=[["1"]])
+    grid = gr.Grid(9, 8)
+    matrix = fr.assemble(p, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
-        report = fr.solve_alternative(p, gr.Grid(9, 8))
+        report = fr.solve_alternative(p, grid, matrix=matrix)
+        edges = fr.singular_spectrum(matrix, fr.factor(matrix))
+    assert edges[-1] == 0.0
     assert report.unique is False
     assert report.kernel_dim == 1
     assert report.sigma.shape == (72,)
@@ -245,7 +252,7 @@ def test_sigma_min_property(resonant_report):
     assert report.sigma_min <= 1e-2
 
 
-# --- Fourier blocks for autonomous problems ---------------------------------
+# --- the blocks of A: Fourier blocks, or A itself ---------------------------
 
 # every piece of K live and free of t; only the forcing depends on t
 T_FREE = {
@@ -259,6 +266,20 @@ T_FREE = {
     "f": ["sin(t)", "x*cos(t)"],
 }
 AUTONOMOUS = ["example13", "pure-forcing", "t-free-volterra", "t-free-fredholm"]
+
+# example13 with a coupling that breathes in t: A is one block, resonant
+# under a tau inside its spectrum
+C13 = "(1+0.5*cos(4*t))"
+BREATHING_13 = {
+    "n": 2,
+    "m": 1,
+    "a": ["2/pi", "2/pi"],
+    "b": [["0", f"-{C13}"], [C13, "0"]],
+    "g": [["0", "0"], ["0", "0"]],
+    "h": [["0", "0"], ["0", "0"]],
+    "r": [["0", "0"], ["0", "0"]],
+    "f": ["0", "x*cos(t)"],
+}
 
 
 def autonomous_case(case):
@@ -279,10 +300,26 @@ def tau_in_gap(s):
     return float(np.sqrt(lower[i] * lower[i + 1]))
 
 
-@pytest.mark.parametrize("shape", [(17, 16), (33, 32), (13, 11)])
-@pytest.mark.parametrize("case", AUTONOMOUS)
-def test_fourier_path_matches_dense_oracle(case, shape):
-    p = autonomous_case(case)
+SHAPES = [(17, 16), (33, 32), (13, 11)]
+# a one-block case stays off 33 x 32, where one SVD of A takes about 3 s on
+# two cores
+ORACLE_CASES = [(case, i) for case in AUTONOMOUS for i in (0, 1, 2)] + [
+    (case, i) for case in ("breathing-example13", "all-pieces") for i in (0, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [pytest.param(case, SHAPES[i], id=f"{case}-shape{i}") for case, i in ORACLE_CASES],
+)
+def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
+    # the t-dependent cases check the one-block path against the same oracle
+    if case == "breathing-example13":
+        p = pb.from_dict(BREATHING_13)
+    elif case == "all-pieces":
+        p = full_problem
+    else:
+        p = autonomous_case(case)
     grid = gr.Grid(*shape)
     matrix = fr.assemble(p, grid)
     left, s, right_t = svd(matrix.A)

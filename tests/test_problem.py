@@ -78,6 +78,26 @@ def test_wrong_matrix_shape():
         pb.from_dict(minimal_data(b=[["0"], ["0", "0"]]))
 
 
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("a", 5, "a"),
+        ("a", "22", "a"),
+        ("f", "00", "f"),
+        ("b", "00", "b"),
+        ("b", [5, 5], "b[1]"),
+        ("g", [["0", "0"], "00"], "g[2]"),
+        ("r", [["0", "0"], {"0": "0"}], "r[2]"),
+    ],
+)
+def test_vector_and_matrix_must_be_lists(key, value, where):
+    # a string has a length and items too: "00" used to read as two zeros
+    with pytest.raises(pb.ValidationError) as info:
+        pb.from_dict(minimal_data(**{key: value}))
+    assert info.value.key == where
+    assert str(info.value).startswith(f"{where}: expected a list")
+
+
 def test_unparsable_entry_names_the_key():
     with pytest.raises(pb.ValidationError) as info:
         pb.from_dict(minimal_data(b=[["0", "1+"], ["0", "0"]]))
