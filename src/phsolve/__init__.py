@@ -26,13 +26,7 @@ from .characteristics import (
     time_partial_x,
     trace,
 )
-from .operators import (
-    CurveCache,
-    Stencil,
-    apply_F,
-    apply_K,
-    stencil_row,
-)
+from .operators import CurveCache, apply_F, apply_K
 from .problem import ProblemSpec, ValidationError
 from .problems import BUILTINS, get_builtin, kernel_pair, list_builtins
 

@@ -29,7 +29,6 @@ def _add_common(sub, with_exact=False):
     src.add_argument("--builtin", metavar="NAME", help="built-in problem name")
     sub.add_argument("--nx", type=int, default=33, help="space nodes (default 33)")
     sub.add_argument("--nt", type=int, default=32, help="time nodes (default 32)")
-    sub.add_argument("--tau", type=float, default=None, help="kernel tolerance override")
     sub.add_argument("--out", metavar="DIR", default=".", help="output directory")
     if with_exact:
         sub.add_argument(
@@ -51,22 +50,25 @@ def build_parser():
         "integral boundary conditions",
     )
     cmds = parser.add_subparsers(dest="command", required=True)
-    _add_common(cmds.add_parser("solve", help="solve or report the resonant branch"))
+    solve = cmds.add_parser("solve", help="solve or report the resonant branch")
+    _add_common(solve)
     _add_common(cmds.add_parser("spectrum", help="singular values of the system"))
-    _add_common(cmds.add_parser("kernel", help="numerical kernel basis"))
+    kernel = cmds.add_parser("kernel", help="numerical kernel basis")
+    _add_common(kernel)
     levy = cmds.add_parser("check-levy", help="screen coupling vs speed gaps")
     _add_common(levy)
     levy.add_argument("--delta", type=float, default=None, help="speed-gap floor")
     levy.add_argument("--tol", type=float, default=1e-8, help="absolute slack")
-    _add_common(
-        cmds.add_parser("converge", help="three-grid refinement study"),
-        with_exact=True,
-    )
+    converge = cmds.add_parser("converge", help="three-grid refinement study")
+    _add_common(converge, with_exact=True)
     _add_common(
         cmds.add_parser("residual", help="residual of a candidate solution"),
         with_exact=True,
     )
     cmds.add_parser("list-builtins", help="list built-in problems")
+    # only the commands that decide the alternative read a tolerance
+    for sub in (solve, kernel, converge):
+        sub.add_argument("--tau", type=float, default=None, help="kernel tolerance override")
     return parser
 
 
@@ -127,7 +129,7 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     matrix = fredholm.assemble(p, grid)
     t1 = time.perf_counter()
-    report = fredholm.solve_alternative(p, grid, tau=args.tau, matrix=matrix)
+    report = fredholm.solve_alternative(matrix, tau=args.tau)
     t2 = time.perf_counter()
     timings = {"assemble_s": t1 - t0, "solve_s": t2 - t1}
     out = _outdir(args)
@@ -162,7 +164,7 @@ def cmd_spectrum(args):
 def cmd_kernel(args):
     p = _load_problem(args)
     grid = _grid(args)
-    report = fredholm.solve_alternative(p, grid, tau=args.tau)
+    report = fredholm.solve_alternative(fredholm.assemble(p, grid), tau=args.tau)
     payload = {
         "nx": grid.nx,
         "nt": grid.nt,

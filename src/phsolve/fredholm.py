@@ -11,11 +11,12 @@ The alternative runs over the diagonal blocks of A in a DFT over t.
 When no speed or coefficient of K mentions t (the forcing may), K
 commutes with shifts by one time step, so A is block-circulant in t and
 the DFT splits it into nt blocks of size n * nx, conjugate in pairs.
-Any other A is its own one block.  The nt // 2 + 1 distinct Fourier
-blocks are decided from their pooled singular values; the one block
-from the two edges of its spectrum, sigma_min and sigma_max (which
-scales the default tau), taken from the LU factors of A by two Lanczos
-runs.  After the decision both are handled alike: the unique branch
+Any other A is its own one block.  `OperatorMatrix.blocks` builds them
+once per assembled matrix, for the decision and the branch alike.  The
+nt // 2 + 1 distinct Fourier blocks are decided from their pooled
+singular values; the one block from the two edges of its spectrum,
+sigma_min and sigma_max (which scales the default tau), taken from the
+LU factors of A by two Lanczos runs.  After the decision both are handled alike: the unique branch
 solves block by block, and the resonant branch decomposes each block
 into real (numerical) kernel and cokernel bases, a truncated
 least-squares solution, and the solvability defect of the forcing.
@@ -26,6 +27,7 @@ condition that separates the two regimes, and grid-refinement studies.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,6 +63,42 @@ class OperatorMatrix:
     @property
     def size(self):
         return self.rhs.shape[0]
+
+    @functools.cached_property
+    def period(self):
+        """Length of the DFT over t that splits A into blocks: nt when no
+        speed or coefficient of K mentions t (f may), since A then commutes
+        with shifts by one time step; otherwise 1, A being its own block."""
+        p = self.problem
+        entries = [*p.speeds]
+        for mat in (p.coupling, p.volterra_kernels, p.boundary_inputs, p.boundary_kernels):
+            entries.extend(e for row in mat for e in row)
+        return 1 if any(ex.mentions(e, "t") for e in entries) else self.grid.nt
+
+    @functools.cached_property
+    def blocks(self):
+        """The diagonal blocks of A in the DFT over t (see `period`), and how
+        often each block's singular values occur in A's spectrum; the
+        multiplicities sum to the period.  Built once, on first use, and
+        shared by the decision and the branch, which only read them.
+
+        With period nt, the unknowns, ordered (component, x-node, t-node)
+        with t fastest, make A.reshape(M, nt, M, nt)[:, q, :, r] with
+        M = n * nx depend only on (r - q) mod nt.  From block-row q = 0,
+        S_s = A[:, 0, :, s], the block acting on the k-th rfft coefficient of
+        u is sum_s S_s exp(2 pi i k s / nt) for k = 0 .. nt // 2.  Blocks k and
+        nt - k are conjugate, so these occur twice; blocks k = 0 and k = nt / 2
+        are real, occur once, and are returned as real arrays, so their SVDs
+        give real vectors.  With period 1, A is returned as it is.
+        """
+        nt = self.period
+        if nt == 1:
+            return [self.A], [1]
+        m = self.size // nt
+        row0 = self.A.reshape(m, nt, m, nt)[:, 0]
+        hat = np.moveaxis(np.fft.rfft(row0, axis=-1), -1, 0).conj()
+        multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
+        return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
 
 def assemble(p, grid):
@@ -109,54 +147,19 @@ def singular_spectrum(matrix, lu=None):
     """Singular values of A, descending.
 
     Without `lu`: all N values, pooled from the blocks of A (see
-    `_blocks`).  With the LU factors of A (see `factor`): only the edges
-    [sigma_max, sigma_min], each from one implicitly restarted Lanczos
-    run for the largest eigenvalue, of A^T A through dense products and
-    of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
+    `OperatorMatrix.blocks`).  With the LU factors of A (see `factor`):
+    only the edges [sigma_max, sigma_min], each from one implicitly
+    restarted Lanczos run for the largest eigenvalue, of A^T A through
+    dense products and of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
     sigma_min = 0 without a run.
     """
     try:
         if lu is not None:
             return _edge_singular_values(matrix.A, lu)
-        blocks, multiplicity = _blocks(matrix)
+        blocks, multiplicity = matrix.blocks
         return _pooled([svdvals(b) for b in blocks], multiplicity)
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
-
-
-def _period(matrix):
-    """Length of the DFT over t that splits A into blocks: nt when no
-    speed or coefficient of K mentions t (f may), since A then commutes
-    with shifts by one time step; otherwise 1, A being its own block."""
-    p = matrix.problem
-    entries = [*p.speeds]
-    for mat in (p.coupling, p.volterra_kernels, p.boundary_inputs, p.boundary_kernels):
-        entries.extend(e for row in mat for e in row)
-    return 1 if any(ex.mentions(e, "t") for e in entries) else matrix.grid.nt
-
-
-def _blocks(matrix):
-    """The diagonal blocks of A in the DFT over t (see `_period`), and how
-    often each block's singular values occur in A's spectrum; the
-    multiplicities sum to the period.
-
-    With period nt, the unknowns, ordered (component, x-node, t-node)
-    with t fastest, make A.reshape(M, nt, M, nt)[:, q, :, r] with
-    M = n * nx depend only on (r - q) mod nt.  From block-row q = 0,
-    S_s = A[:, 0, :, s], the block acting on the k-th rfft coefficient of
-    u is sum_s S_s exp(2 pi i k s / nt) for k = 0 .. nt // 2.  Blocks k and
-    nt - k are conjugate, so these occur twice; blocks k = 0 and k = nt / 2
-    are real, occur once, and are returned as real arrays, so their SVDs
-    give real vectors.  With period 1, A is returned as it is.
-    """
-    nt = _period(matrix)
-    if nt == 1:
-        return [matrix.A], [1]
-    m = matrix.size // nt
-    row0 = matrix.A.reshape(m, nt, m, nt)[:, 0]
-    hat = np.moveaxis(np.fft.rfft(row0, axis=-1), -1, 0).conj()
-    multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
-    return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
 
 def _pooled(per_block, multiplicity):
@@ -168,7 +171,7 @@ def _decide(matrix):
     """The spectrum the alternative reads, with the LU factors of A when
     A is its own one block: then the edges, from the factors; otherwise
     every value, pooled from the Fourier blocks, and A is not factored."""
-    lu = factor(matrix) if _period(matrix) == 1 else None
+    lu = factor(matrix) if matrix.period == 1 else None
     return singular_spectrum(matrix, lu), lu
 
 
@@ -223,29 +226,28 @@ class FredholmReport:
         return float(self.sigma[-1])
 
 
-def solve_alternative(p, grid, tau=None, matrix=None):
-    """Solve A u = rhs or, when A is numerically rank-deficient, report
-    the kernel data and a truncated least-squares solution.
+def solve_alternative(matrix, tau=None):
+    """Solve A u = rhs of an assembled `matrix` or, when A is numerically
+    rank-deficient, report the kernel data and a truncated least-squares
+    solution.
 
     tau, when given, must be a finite number >= 0: singular values below
     it count as zero.  A negative tau would let an exactly singular A
     through to the solve; an infinite one would count every value as zero.
 
-    Both branches work block by block (see `_blocks`) on the rfft
-    coefficients of rhs over the period.  A complex singular pair (v, w)
-    of a block that occurs twice, spread over t as
+    Both branches work block by block (see `OperatorMatrix.blocks`) on
+    the rfft coefficients of rhs over the period.  A complex singular
+    pair (v, w) of a block that occurs twice, spread over t as
     v exp(2 pi i k r / nt) / sqrt(nt), gives two real ones, its real and
     imaginary parts scaled by sqrt(2); a real block gives one.
     """
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
-    if matrix is None:
-        matrix = assemble(p, grid)
     sigma, lu = _decide(matrix)
     if tau is None:
         tau = default_tolerance(sigma, matrix.size)
-    blocks, multiplicity = _blocks(matrix)
-    period = sum(multiplicity)
+    blocks, multiplicity = matrix.blocks
+    period = matrix.period
     rhs_hat = _to_blocks(matrix.rhs, period)
     unique = bool(sigma[-1] > tau)
     if unique:
@@ -287,6 +289,7 @@ def solve_alternative(p, grid, tau=None, matrix=None):
         cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
         defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
         sigma = _pooled([s for _, s, _ in factors], multiplicity)
+    p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
     res = residual(p, grid, solution, caches=matrix.caches)
     return FredholmReport(
@@ -416,13 +419,14 @@ def convergence_study(p, grids, exact=None, tau=None):
     prev = None
     for nx, nt in grids:
         grid = Grid(nx, nt)
+        matrix = assemble(p, grid)
         if nodes is not None:
-            report = solve_alternative(p, grid, tau=tau)
+            report = solve_alternative(matrix, tau=tau)
             target = sample_exprs(nodes, grid)
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            value = float(_decide(assemble(p, grid))[0][-1])
+            value = float(_decide(matrix)[0][-1])
             exact_level = False
         order = None
         note = ""

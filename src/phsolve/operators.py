@@ -16,7 +16,7 @@ curve once and yields the parts of all four pieces.  Forcing gives one
 constant per row.  The parts have two uses.  apply_K contracts them
 against concrete grid values one part at a time, so applying K never
 stores it.  stencil_block concatenates them into explicit weights, which
-assembly scatters into the dense matrix and stencil_row reads one row of.
+assembly scatters into the dense matrix.
 """
 
 from __future__ import annotations
@@ -277,20 +277,6 @@ def apply_F(p, grid, caches=None):
     return out
 
 
-@dataclass
-class Stencil:
-    """One row of the discrete operator: accumulated weights on flattened
-    node indices plus the affine forcing constant."""
-
-    indices: np.ndarray
-    weights: np.ndarray
-    constant: float
-
-    def dot(self, flat):
-        """Linear part applied to a flattened grid function."""
-        return float(self.weights @ np.asarray(flat)[self.indices])
-
-
 def stencil_block(p, grid, caches, j, i):
     """All time-node rows of the linear map u -> (Ku)_j(x_i, .) as weights
     on flattened node indices, plus the forcing constants for those rows.
@@ -307,11 +293,3 @@ def stencil_block(p, grid, caches, j, i):
         weights.append(w.reshape(nt, -1))
     const = _forcing(p, grid, caches, j, i)
     return np.concatenate(cols, axis=1), np.concatenate(weights, axis=1), const
-
-
-def stencil_row(p, grid, caches, j, i, q):
-    """The linear functional u -> (Ku)_j(x_i, t_q) with its forcing
-    constant, as accumulated weights on distinct flattened node indices."""
-    cols, weights, const = stencil_block(p, grid, caches, j, i)
-    idx, slot = np.unique(cols[q], return_inverse=True)
-    return Stencil(idx, np.bincount(slot, weights[q], minlength=idx.size), float(const[q]))

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import runpy
 import shlex
 import tempfile
 import warnings
@@ -255,6 +257,18 @@ def test_usage_error_exits_two(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["spectrum", "check-levy", "residual"])
+def test_tau_refused_where_it_is_not_read(tmp_path, command):
+    # only solve, kernel and converge decide the alternative against tau
+    argv = [command, "--builtin", "pure-forcing", "--nx", "5", "--nt", "4"]
+    if command == "residual":
+        argv += ["--exact", "x"]
+    assert run(tmp_path, *argv) == 0
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, *argv, "--tau", "1e-2")
+    assert info.value.code == 2
+
+
 # --- other commands ---------------------------------------------------------
 
 def test_spectrum_writes_descending_csv(tmp_path):
@@ -417,7 +431,7 @@ def test_any_problem_exits_cleanly_with_finite_artifacts(problem, command, tau, 
         path = out / "problem.json"
         path.write_text(json.dumps(problem))
         argv = [command, "--problem", str(path), "--nx", str(nx), "--nt", str(nt)]
-        if tau is not None:
+        if tau is not None and command != "residual":
             argv += ["--tau", tau]
         if command == "residual":
             argv += ["--exact", ",".join(["x*sin(t)"] * problem["n"])]
@@ -458,3 +472,20 @@ def test_readme_command_line_runs(tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)  # commands without --out write to "."
     resonant = argv[0] == "solve" and "example13" in argv
     assert main(argv) == (2 if resonant else 0)
+
+
+# --- benchmark hooks --------------------------------------------------------
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps these names in place; a rename or move in
+    # phsolve would otherwise surface only when a traced run installs them
+    hooks = runpy.run_path(str(TRACING))["HOOKS"]
+    assert hooks
+    for _, module, attr in hooks:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)

@@ -35,7 +35,7 @@ def resonant_report(resonant_problem):
     with a tolerance wide enough to expose the near-kernel cluster."""
     grid = gr.Grid(33, 32)
     matrix = fr.assemble(resonant_problem, grid)
-    report = fr.solve_alternative(resonant_problem, grid, tau=1e-2, matrix=matrix)
+    report = fr.solve_alternative(matrix, tau=1e-2)
     return grid, matrix, report
 
 
@@ -132,7 +132,7 @@ def test_decision_edges_match_full_spectrum(name):
     full = svdvals(matrix.A)
     tau = fr.default_tolerance(full, matrix.size)
     unique = bool(full[-1] > tau)
-    report = fr.solve_alternative(p, grid, matrix=matrix)
+    report = fr.solve_alternative(matrix)
     assert report.sigma.shape == ((2,) if unique else full.shape)
     assert report.sigma[0] == pytest.approx(full[0], rel=1e-10)
     assert report.sigma_min == pytest.approx(full[-1], rel=1e-10)
@@ -150,7 +150,7 @@ def test_default_tolerance_formula():
 
 def test_unique_solve_reproduces_transport_solution(transport_problem):
     grid = gr.Grid(9, 8)
-    report = fr.solve_alternative(transport_problem, grid)
+    report = fr.solve_alternative(fr.assemble(transport_problem, grid))
     assert report.unique is True
     assert report.kernel_dim == 0
     assert report.defect is None
@@ -162,7 +162,7 @@ def test_unique_solve_reproduces_transport_solution(transport_problem):
 
 def test_unique_solve_residual_scales(manufactured_problem):
     grid = gr.Grid(17, 16)
-    report = fr.solve_alternative(manufactured_problem, grid)
+    report = fr.solve_alternative(fr.assemble(manufactured_problem, grid))
     norm_a = np.max(np.sum(np.abs(report.matrix.A), axis=1))
     bound = 1e-10 * (1.0 + norm_a) * gr.sup_norm(report.solution)
     assert report.unique is True
@@ -172,7 +172,7 @@ def test_unique_solve_residual_scales(manufactured_problem):
 def test_solver_accepts_prebuilt_matrix(transport_problem):
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(transport_problem, grid)
-    report = fr.solve_alternative(transport_problem, grid, matrix=matrix)
+    report = fr.solve_alternative(matrix)
     assert report.matrix is matrix
 
 
@@ -207,7 +207,7 @@ def test_resonant_zero_forcing_has_zero_defect(resonant_report):
 
 def test_dichotomy_depends_on_tolerance(resonant_problem, resonant_report):
     grid, matrix, _ = resonant_report
-    strict = fr.solve_alternative(resonant_problem, grid, tau=1e-8, matrix=matrix)
+    strict = fr.solve_alternative(matrix, tau=1e-8)
     assert strict.unique is True
     assert strict.kernel_dim == 0
 
@@ -222,7 +222,7 @@ def test_exactly_singular_matrix_takes_resonant_branch(speed):
     matrix = fr.assemble(p, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
-        report = fr.solve_alternative(p, grid, matrix=matrix)
+        report = fr.solve_alternative(matrix)
         edges = fr.singular_spectrum(matrix, fr.factor(matrix))
     assert edges[-1] == 0.0
     assert report.unique is False
@@ -243,7 +243,7 @@ def test_tau_below_zero_or_nan_rejected_before_factoring(monkeypatch, tau):
     monkeypatch.setattr(fr, "factor", lambda _: pytest.fail("factored A"))
     monkeypatch.setattr(fr, "singular_spectrum", lambda *_: pytest.fail("decided"))
     with pytest.raises(ValueError, match="tau must be >= 0"):
-        fr.solve_alternative(p, grid, tau=tau, matrix=matrix)
+        fr.solve_alternative(matrix, tau=tau)
 
 
 def test_sigma_min_property(resonant_report):
@@ -325,7 +325,7 @@ def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
     left, s, right_t = svd(matrix.A)
     assert np.max(np.abs(fr.singular_spectrum(matrix) - s)) <= 1e-12 * s[0]
     for tau in (None, tau_in_gap(s)):
-        report = fr.solve_alternative(p, grid, tau=tau, matrix=matrix)
+        report = fr.solve_alternative(matrix, tau=tau)
         small = s < (fr.default_tolerance(s, matrix.size) if tau is None else tau)
         keep = ~small
         assert report.unique is not small.any()
@@ -372,9 +372,26 @@ def test_autonomous_problems_never_factor_A(monkeypatch):
     grid = gr.Grid(9, 8)
     for case in AUTONOMOUS:
         for tau in (None, 1e-2):
-            fr.solve_alternative(autonomous_case(case), grid, tau=tau)
+            fr.solve_alternative(fr.assemble(autonomous_case(case), grid), tau=tau)
     rows = fr.convergence_study(problems.example13(), [(5, 4), (9, 8)])
     assert rows[1].value < rows[0].value
+
+
+def test_one_solve_builds_the_fourier_blocks_once(monkeypatch):
+    # the decision and the branch share OperatorMatrix.blocks: one rfft of
+    # block-row 0 (a 3-d array) per solve, besides the 2-d one of rhs
+    ndims = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    matrix = fr.assemble(problems.example13(), gr.Grid(17, 16))
+    fr.solve_alternative(matrix)
+    assert ndims.count(3) == 1
+    assert matrix.blocks is matrix.blocks
 
 
 @pytest.mark.parametrize(
@@ -401,9 +418,9 @@ def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, e
     grid = gr.Grid(9, 8)
     if dense:
         with pytest.raises(FactoredA):
-            fr.solve_alternative(p, grid)
+            fr.solve_alternative(fr.assemble(p, grid))
     else:
-        assert fr.solve_alternative(p, grid).unique is True
+        assert fr.solve_alternative(fr.assemble(p, grid)).unique is True
 
 
 # --- residual ---------------------------------------------------------------
@@ -411,7 +428,7 @@ def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, e
 
 def test_residual_of_discrete_solution_is_tiny(transport_problem):
     grid = gr.Grid(9, 8)
-    report = fr.solve_alternative(transport_problem, grid)
+    report = fr.solve_alternative(fr.assemble(transport_problem, grid))
     assert fr.residual(transport_problem, grid, report.solution) <= 1e-12
 
 
@@ -423,7 +440,7 @@ def test_residual_of_explicit_modes(resonant_problem):
 
 def test_residual_detects_perturbation(transport_problem):
     grid = gr.Grid(9, 8)
-    report = fr.solve_alternative(transport_problem, grid)
+    report = fr.solve_alternative(fr.assemble(transport_problem, grid))
     bumped = report.solution.copy()
     bumped.values[0, 4, 2] += 0.5
     assert fr.residual(transport_problem, grid, bumped) >= 0.25

@@ -269,23 +269,24 @@ def test_stencil_empty_for_zero_problem():
     p = build()
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(p, grid)
-    st = op.stencil_row(p, grid, caches, 1, 4, 3)
-    assert st.indices.size == 0
-    assert st.constant == 0.0
+    cols, weights, const = op.stencil_block(p, grid, caches, 1, 4)
+    assert cols[3].size == 0 and weights[3].size == 0
+    assert const[3] == 0.0
 
 
 def test_stencil_matches_apply_on_random_functions(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
     nodes = [(1, 0, 0), (1, 4, 3), (1, 8, 7), (2, 0, 5), (2, 4, 0), (2, 8, 2)]
-    stencils = {node: op.stencil_row(full_problem, grid, caches, *node) for node in nodes}
+    blocks = {(j, i): op.stencil_block(full_problem, grid, caches, j, i) for j, i, _ in nodes}
     for seed in range(20):
         u = rand_gf(grid, 2, 100 + seed)
         flat = u.values.reshape(-1)
         ku = op.apply_K(full_problem, grid, u, caches)
-        for (j, i, q), st in stencils.items():
+        for j, i, q in nodes:
+            cols, weights, _ = blocks[(j, i)]
             want = ku.values[j - 1, i, q]
-            got = st.dot(flat)
+            got = weights[q] @ flat[cols[q]]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -293,18 +294,17 @@ def test_stencil_constant_carries_forcing(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
     ff = op.apply_F(full_problem, grid, caches)
-    st = op.stencil_row(full_problem, grid, caches, 2, 6, 1)
-    assert st.constant == pytest.approx(ff.values[1, 6, 1], abs=1e-13)
+    _, _, const = op.stencil_block(full_problem, grid, caches, 2, 6)
+    assert const[1] == pytest.approx(ff.values[1, 6, 1], abs=1e-13)
 
 
 def test_stencil_indices_are_valid_and_unique(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
-    st = op.stencil_row(full_problem, grid, caches, 1, 5, 2)
-    assert st.indices.size > 0
-    assert len(np.unique(st.indices)) == st.indices.size
-    assert np.all(st.indices >= 0) and np.all(st.indices < 2 * grid.nx * grid.nt)
-    assert np.all(np.isfinite(st.weights))
+    cols, weights, _ = op.stencil_block(full_problem, grid, caches, 1, 5)
+    assert cols[2].size > 0
+    assert np.all(cols[2] >= 0) and np.all(cols[2] < 2 * grid.nx * grid.nt)
+    assert np.all(np.isfinite(weights[2]))
 
 
 def test_curve_cache_is_shared(full_problem):
