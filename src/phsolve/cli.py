@@ -111,6 +111,7 @@ def _report_payload(p, grid, report, timings):
         "nx": grid.nx,
         "nt": grid.nt,
         "size": report.matrix.size,
+        "period": report.matrix.period,
         "tau": report.tau,
         "unique": report.unique,
         "kernel_dim": report.kernel_dim,
@@ -168,6 +169,7 @@ def cmd_kernel(args):
     payload = {
         "nx": grid.nx,
         "nt": grid.nt,
+        "period": report.matrix.period,
         "tau": report.tau,
         "kernel_dim": report.kernel_dim,
         "sigma_min": report.sigma_min,
@@ -238,8 +240,10 @@ def cmd_residual(args):
     grid = _grid(args)
     nodes = _parse_exact(args.exact, p.n)
     candidate = sample_exprs(nodes, grid)
-    value = fredholm.residual(p, grid, candidate)
-    _write_json(_outdir(args), "residual.json", {"nx": grid.nx, "nt": grid.nt, "residual": value})
+    caches = fredholm.CurveCache(p, grid)
+    value = fredholm.residual(p, grid, candidate, caches)
+    payload = {"nx": grid.nx, "nt": grid.nt, "period": caches.period, "residual": value}
+    _write_json(_outdir(args), "residual.json", payload)
     print(f"residual={value:.6e}")
     return 0
 

@@ -11,8 +11,12 @@ The alternative runs over the diagonal blocks of A in a DFT over t.
 When no speed or coefficient of K mentions t (the forcing may), K
 commutes with shifts by one time step, so A is block-circulant in t and
 the DFT splits it into nt blocks of size n * nx, conjugate in pairs.
-Any other A is its own one block.  `OperatorMatrix.blocks` builds them
-once per assembled matrix, for the decision and the branch alike.  The
+Any other A is its own one block.  Assembly stores only block-row 0 of
+A, the rows at t-node 0, which is all of A in the one-block case and
+1 / nt of it otherwise, so an autonomous problem can pass the size at
+which the whole of A would no longer fit.  `OperatorMatrix.blocks`
+derives the blocks from it once per assembled matrix, for the decision
+and the branch alike; A itself is expanded only when read.  The
 nt // 2 + 1 distinct Fourier blocks are decided from their pooled
 singular values; the one block from the two edges of its spectrum,
 sigma_min and sigma_max (which scales the default tau), taken from the
@@ -52,12 +56,19 @@ class SpectrumError(ArithmeticError):
 
 @dataclass
 class OperatorMatrix:
-    """Dense A = I - K with the discretized forcing, plus provenance."""
+    """A = I - K with the discretized forcing, plus provenance.
 
-    A: np.ndarray
+    A is stored as its block-row 0, row0, of shape (N // period, N), where
+    period is `operators.period` of the problem: with period nt it holds
+    the rows (component, x-node) at t-node 0, and row (m, q) of A is row m
+    with every t-index moved by q; with period 1, row0 is A.
+    """
+
+    row0: np.ndarray
     rhs: np.ndarray
     grid: Grid
     problem: object
+    period: int
     caches: CurveCache = field(repr=False, default=None)
 
     @property
@@ -65,15 +76,25 @@ class OperatorMatrix:
         return self.rhs.shape[0]
 
     @functools.cached_property
-    def period(self):
-        """Length of the DFT over t that splits A into blocks: nt when no
-        speed or coefficient of K mentions t (f may), since A then commutes
-        with shifts by one time step; otherwise 1, A being its own block."""
-        p = self.problem
-        entries = [*p.speeds]
-        for mat in (p.coupling, p.volterra_kernels, p.boundary_inputs, p.boundary_kernels):
-            entries.extend(e for row in mat for e in row)
-        return 1 if any(ex.mentions(e, "t") for e in entries) else self.grid.nt
+    def A(self):
+        """The whole N x N matrix, expanded from row0 on first read.
+        Raises CapacityError past DENSE_LIMIT."""
+        if self.size > DENSE_LIMIT:
+            raise CapacityError(
+                f"dense matrix of size {self.size} exceeds the cap {DENSE_LIMIT}; "
+                "read its blocks instead"
+            )
+        nt = self.period
+        if nt == 1:
+            return self.row0
+        m = self.row0.shape[0]
+        row0 = self.row0.reshape(m, m, nt)
+        a = np.empty((m, nt, m, nt))
+        for q in range(nt):
+            # A[(m, q), (c, r)] = row0[m, c, (r - q) mod nt]
+            a[:, q, :, q:] = row0[:, :, : nt - q]
+            a[:, q, :, :q] = row0[:, :, nt - q :]
+        return a.reshape(self.size, self.size)
 
     @functools.cached_property
     def blocks(self):
@@ -85,50 +106,56 @@ class OperatorMatrix:
         With period nt, the unknowns, ordered (component, x-node, t-node)
         with t fastest, make A.reshape(M, nt, M, nt)[:, q, :, r] with
         M = n * nx depend only on (r - q) mod nt.  From block-row q = 0,
-        S_s = A[:, 0, :, s], the block acting on the k-th rfft coefficient of
-        u is sum_s S_s exp(2 pi i k s / nt) for k = 0 .. nt // 2.  Blocks k and
-        nt - k are conjugate, so these occur twice; blocks k = 0 and k = nt / 2
-        are real, occur once, and are returned as real arrays, so their SVDs
-        give real vectors.  With period 1, A is returned as it is.
+        S_s = row0.reshape(M, M, nt)[:, :, s], the block acting on the k-th
+        rfft coefficient of u is sum_s S_s exp(2 pi i k s / nt) for
+        k = 0 .. nt // 2.  Blocks k and nt - k are conjugate, so these occur
+        twice; blocks k = 0 and k = nt / 2 are real, occur once, and are
+        returned as real arrays, so their SVDs give real vectors.  With
+        period 1, A is returned as it is.
         """
         nt = self.period
         if nt == 1:
-            return [self.A], [1]
-        m = self.size // nt
-        row0 = self.A.reshape(m, nt, m, nt)[:, 0]
-        hat = np.moveaxis(np.fft.rfft(row0, axis=-1), -1, 0).conj()
+            return [self.row0], [1]
+        m = self.row0.shape[0]
+        hat = np.moveaxis(np.fft.rfft(self.row0.reshape(m, m, nt), axis=-1), -1, 0).conj()
         multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
         return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
 
 def assemble(p, grid):
-    """Collocate I - K on the grid nodes.
+    """Collocate I - K on the grid nodes, storing block-row 0 of A (see
+    `OperatorMatrix`) and the forcing at every node.
 
-    Each block (component j, x-node i) fills its nt rows: one bincount
-    over the keys q * N + col sums the weights from stencil_block into
-    place.
+    Each block (component j, x-node i) fills its rows of row0, all nt of
+    them with period 1 and its t = 0 row with period nt: one bincount over
+    the keys q * N + col sums the weights from stencil_block into place.
+    The N * N / period entries stored count against DENSE_LIMIT**2.
     """
-    n = p.n
-    size = n * grid.nx * grid.nt
-    if size > DENSE_LIMIT:
-        raise CapacityError(
-            f"dense system of size {size} exceeds the cap {DENSE_LIMIT}; coarsen the grid"
-        )
     caches = CurveCache(p, grid)
-    nt = grid.nt
-    A = np.zeros((size, size))
+    nt, period = grid.nt, caches.period
+    size = p.n * grid.nx * nt
+    height = size // period
+    if height * size > DENSE_LIMIT**2:
+        raise CapacityError(
+            f"dense system of size {size} stores {height} x {size} entries, over the cap "
+            f"of {DENSE_LIMIT}**2; coarsen the grid"
+        )
+    rows = nt // period  # the traced rows of one block
+    row0 = np.zeros((height, size))
     rhs = np.zeros(size)
-    row_keys = np.arange(nt)[:, None] * size
-    for j in range(1, n + 1):
+    row_keys = np.arange(rows)[:, None] * size
+    for j in range(1, p.n + 1):
         for i in range(grid.nx):
             cols, weights, const = stencil_block(p, grid, caches, j, i)
-            base = ((j - 1) * grid.nx + i) * nt
+            block = (j - 1) * grid.nx + i
             # summing the negated weights gives -K bit for bit
-            minus_k = np.bincount((row_keys + cols).ravel(), -weights.ravel(), minlength=nt * size)
-            A[base : base + nt, :] = minus_k.reshape(nt, size)
-            rhs[base : base + nt] = const
-    A[np.diag_indices(size)] += 1.0
-    return OperatorMatrix(A, rhs, grid, p, caches)
+            minus_k = np.bincount((row_keys + cols).ravel(), -weights.ravel(), minlength=rows * size)
+            row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
+            rhs[block * nt : (block + 1) * nt] = const
+    # the identity: stored row m is A's row m * period, so its unit sits
+    # in column m * period
+    row0[np.arange(height), np.arange(height) * period] += 1.0
+    return OperatorMatrix(row0, rhs, grid, p, period, caches)
 
 
 def factor(matrix):

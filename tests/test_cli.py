@@ -231,7 +231,11 @@ def test_negative_tau_exits_one(tmp_path, capsys):
 
 
 def test_capacity_error_exits_one(tmp_path, capsys):
-    code = run(tmp_path, "solve", "--builtin", "example13", "--nx", "81", "--nt", "128")
+    # a t-dependent problem stores all of A; an autonomous one, such as
+    # example13, only its block-row 0 and passes this grid
+    code = run(
+        tmp_path, "solve", "--builtin", "manufactured-wellposed", "--nx", "81", "--nt", "128"
+    )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -214,17 +214,19 @@ def test_dichotomy_depends_on_tolerance(resonant_problem, resonant_report):
 
 @pytest.mark.parametrize("speed", ["1", "1+0*t"])
 def test_exactly_singular_matrix_takes_resonant_branch(speed):
-    # r = 1 makes every constant a fixed point: A has an exact zero pivot.
-    # The speed 1+0*t mentions t, so A is its own one block and that pivot
-    # decides sigma_min = 0; with speed 1 the Fourier blocks decide
+    # r = 1 makes every constant a fixed point.  The speed 1+0*t mentions
+    # t, so A is its own one block, its LU has an exact zero pivot, and that
+    # pivot decides sigma_min = 0.  With speed 1 the Fourier blocks decide;
+    # that A is only expanded from its block-row 0, and the LU of the
+    # expansion ends in a pivot of about 1e-15, not an exact zero
     p = build(a=[speed], r=[["1"]])
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(p, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         report = fr.solve_alternative(matrix)
-        edges = fr.singular_spectrum(matrix, fr.factor(matrix))
-    assert edges[-1] == 0.0
+        if matrix.period == 1:
+            assert fr.singular_spectrum(matrix, fr.factor(matrix))[-1] == 0.0
     assert report.unique is False
     assert report.kernel_dim == 1
     assert report.sigma.shape == (72,)
@@ -357,6 +359,50 @@ def test_autonomous_matrix_is_block_circulant(case, shape):
     row0 = a.reshape(m, grid.nt, m, grid.nt)[:, 0]
     rebuilt = np.stack([np.roll(row0, q, axis=-1) for q in range(grid.nt)], axis=1)
     assert np.max(np.abs(a - rebuilt.reshape(a.shape))) <= 1e-13 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("shape", [(13, 11), (17, 16)])
+@pytest.mark.parametrize("case", AUTONOMOUS)
+def test_autonomous_apply_is_row0_moved_in_t(case, shape):
+    # apply_K correlates each block's row-0 weights with u through the
+    # rfft; row q of the stencils is row 0 with its t-indices moved by q
+    p = autonomous_case(case)
+    grid = gr.Grid(*shape)
+    nt = grid.nt
+    caches = op.CurveCache(p, grid)
+    u = gr.GridFunction(grid, np.random.default_rng(7).standard_normal((p.n, grid.nx, nt)))
+    got = op.apply_K(p, grid, u, caches).values
+    flat = u.values.reshape(-1)
+    want = np.empty_like(got)
+    for j in range(1, p.n + 1):
+        for i in range(grid.nx):
+            (cols,), (weights,), _ = op.stencil_block(p, grid, caches, j, i)
+            for q in range(nt):
+                want[j - 1, i, q] = weights @ flat[cols - cols % nt + (cols + q) % nt]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_autonomous_problem_passes_the_dense_cap():
+    # only block-row 0 is stored, N * N / nt entries: example13 at 101 x 100
+    # has N = 20200 > DENSE_LIMIT and is decided and solved from its blocks
+    p = problems.example13()
+    grid = gr.Grid(101, 100)
+    matrix = fr.assemble(p, grid)
+    assert matrix.size > fr.DENSE_LIMIT
+    assert matrix.row0.shape == (matrix.size // grid.nt, matrix.size)
+    report = fr.solve_alternative(matrix, tau=1e-2)
+    # the steady block holds one kernel vector, each low frequency a pair
+    assert report.kernel_dim % 2 == 1
+    assert report.defect <= 1e-10
+    for vec in report.kernel_basis[:, :3].T:
+        u = gr.GridFunction(grid, vec.reshape(p.n, grid.nx, grid.nt))
+        ku = op.apply_K(p, grid, u, matrix.caches).values
+        assert np.linalg.norm(vec - ku.reshape(-1)) <= report.tau * 1.001
+    with pytest.raises(fr.CapacityError):
+        matrix.A
+    # block-row 0 has its own budget: N * M entries against DENSE_LIMIT**2
+    with pytest.raises(fr.CapacityError):
+        fr.assemble(p, gr.Grid(1001, 128))
 
 
 class FactoredA(Exception):
@@ -525,6 +571,17 @@ def test_convergence_sigma_branch(resonant_problem):
     rows = fr.convergence_study(resonant_problem, [(9, 8), (17, 16)])
     assert rows[1].value < rows[0].value
     assert rows[1].order is not None and rows[1].order > 0.0
+
+
+def test_convergence_of_shifted_forcing():
+    # autonomous, so the forcing of time node q is integrated along the
+    # t = 0 curve moved by t_q: u_t + u_x = cos t, u(0, t) = 0 has the
+    # solution sin t - sin(t - x); the errors equal those of tracing each
+    # anchor row on its own
+    p = build(f=["cos(t)"])
+    rows = fr.convergence_study(p, [(9, 8), (17, 16), (33, 32)], exact=["sin(t)-sin(t-x)"])
+    want = [7.487631605751499e-05, 1.939575990139719e-05, 4.857650146794512e-06]
+    assert [row.value for row in rows] == pytest.approx(want, rel=1e-12)
 
 
 def test_convergence_rejects_non_refining_grids(transport_problem):
