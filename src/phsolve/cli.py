@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import expr as ex
-from . import fredholm, problems
+from . import fredholm, operators, problems
 from .grid import Grid, GridFunction, dump_csv, sample_exprs
 from .problem import ValidationError
 from .problem import from_json as load_problem_file
@@ -240,9 +240,9 @@ def cmd_residual(args):
     grid = _grid(args)
     nodes = _parse_exact(args.exact, p.n)
     candidate = sample_exprs(nodes, grid)
-    caches = fredholm.CurveCache(p, grid)
-    value = fredholm.residual(p, grid, candidate, caches)
-    payload = {"nx": grid.nx, "nt": grid.nt, "period": caches.period, "residual": value}
+    value = fredholm.residual(p, grid, candidate)
+    period = operators.period(p, grid)
+    payload = {"nx": grid.nx, "nt": grid.nt, "period": period, "residual": value}
     _write_json(_outdir(args), "residual.json", payload)
     print(f"residual={value:.6e}")
     return 0

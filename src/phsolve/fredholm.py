@@ -59,21 +59,25 @@ class OperatorMatrix:
     """A = I - K with the discretized forcing, plus provenance.
 
     A is stored as its block-row 0, row0, of shape (N // period, N), where
-    period is `operators.period` of the problem: with period nt it holds
-    the rows (component, x-node) at t-node 0, and row (m, q) of A is row m
-    with every t-index moved by q; with period 1, row0 is A.
+    period is `operators.period` of the problem, as its curve cache holds
+    it: with period nt row0 holds the rows (component, x-node) at t-node 0,
+    and row (m, q) of A is row m with every t-index moved by q; with
+    period 1, row0 is A.
     """
 
     row0: np.ndarray
     rhs: np.ndarray
     grid: Grid
     problem: object
-    period: int
-    caches: CurveCache = field(repr=False, default=None)
+    caches: CurveCache = field(repr=False)
 
     @property
     def size(self):
         return self.rhs.shape[0]
+
+    @property
+    def period(self):
+        return self.caches.period
 
     @functools.cached_property
     def A(self):
@@ -117,7 +121,8 @@ class OperatorMatrix:
         if nt == 1:
             return [self.row0], [1]
         m = self.row0.shape[0]
-        hat = np.moveaxis(np.fft.rfft(self.row0.reshape(m, m, nt), axis=-1), -1, 0).conj()
+        hat = np.fft.rfft(self.row0.reshape(m, m, nt), axis=-1)
+        hat = np.moveaxis(np.conjugate(hat, out=hat), -1, 0)
         multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
         return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
@@ -129,15 +134,22 @@ def assemble(p, grid):
     Each block (component j, x-node i) fills its rows of row0, all nt of
     them with period 1 and its t = 0 row with period nt: one bincount over
     the keys q * N + col sums the weights from stencil_block into place.
-    The N * N / period entries stored count against DENSE_LIMIT**2.
+
+    The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
+    with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
+    blocks derived from it, three times over, since the resonant branch
+    keeps two SVD factors of each.
     """
     caches = CurveCache(p, grid)
     nt, period = grid.nt, caches.period
     size = p.n * grid.nx * nt
     height = size // period
-    if height * size > DENSE_LIMIT**2:
+    held = size * size
+    if period != 1:
+        held = height * size + 3 * 2 * (nt // 2 + 1) * height * height
+    if held > DENSE_LIMIT**2:
         raise CapacityError(
-            f"dense system of size {size} stores {height} x {size} entries, over the cap "
+            f"dense system of size {size} takes {held} entries, over the cap "
             f"of {DENSE_LIMIT}**2; coarsen the grid"
         )
     rows = nt // period  # the traced rows of one block
@@ -155,7 +167,7 @@ def assemble(p, grid):
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
-    return OperatorMatrix(row0, rhs, grid, p, period, caches)
+    return OperatorMatrix(row0, rhs, grid, p, caches)
 
 
 def factor(matrix):

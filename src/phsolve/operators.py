@@ -279,7 +279,7 @@ def _forcing(p, grid, caches, j, i):
     if len(cur.xi) < 2:
         return np.zeros(grid.nt)
     times = cur.times
-    if len(times) < grid.nt:
+    if caches.period != 1:
         times = times + grid.ts[:, None]
     cw = np.broadcast_to(cur.trap[None, :] * cur.weight, times.shape)
     fv = _eval_on(fj, cur.xi[None, :], times, times.shape)

@@ -216,17 +216,21 @@ def test_dichotomy_depends_on_tolerance(resonant_problem, resonant_report):
 def test_exactly_singular_matrix_takes_resonant_branch(speed):
     # r = 1 makes every constant a fixed point.  The speed 1+0*t mentions
     # t, so A is its own one block, its LU has an exact zero pivot, and that
-    # pivot decides sigma_min = 0.  With speed 1 the Fourier blocks decide;
-    # that A is only expanded from its block-row 0, and the LU of the
-    # expansion ends in a pivot of about 1e-15, not an exact zero
+    # pivot decides sigma_min = 0.  With speed 1 the Fourier blocks decide,
+    # from their pooled singular values; the steady block's smallest is
+    # 1.7e-18.  That A is never factored: expanded from its block-row 0, its
+    # LU ends in a pivot of about 1e-15, not an exact zero
     p = build(a=[speed], r=[["1"]])
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(p, grid)
+    assert matrix.period == (1 if "t" in speed else grid.nt)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         report = fr.solve_alternative(matrix)
         if matrix.period == 1:
             assert fr.singular_spectrum(matrix, fr.factor(matrix))[-1] == 0.0
+        else:
+            assert fr.singular_spectrum(matrix)[-1] <= 1e-16
     assert report.unique is False
     assert report.kernel_dim == 1
     assert report.sigma.shape == (72,)
@@ -288,6 +292,14 @@ def autonomous_case(case):
     if case in problems.BUILTINS:
         return problems.get_builtin(case)
     return pb.from_dict({**T_FREE, "volterra": case.endswith("-volterra")})
+
+
+def traced_twin(p):
+    """p with 0*t added to its first speed: the same K, but its period is
+    1, so every anchor row is traced on its own and A is assembled whole."""
+    data = pb.to_dict(p)
+    data["a"] = [f"({data['a'][0]})+0*t", *data["a"][1:]]
+    return pb.from_dict(data)
 
 
 def tau_in_gap(s):
@@ -353,19 +365,28 @@ def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
 @pytest.mark.parametrize("shape", [(33, 32), (13, 11)])
 @pytest.mark.parametrize("case", AUTONOMOUS)
 def test_autonomous_matrix_is_block_circulant(case, shape):
+    # the twin traces every anchor row on its own: its A is block-circulant,
+    # and the A expanded from block-row 0 equals it, the forcing too
+    p = autonomous_case(case)
     grid = gr.Grid(*shape)
-    a = fr.assemble(autonomous_case(case), grid).A
+    matrix = fr.assemble(p, grid)
+    twin = fr.assemble(traced_twin(p), grid)
+    assert (matrix.period, twin.period) == (grid.nt, 1)
+    a = twin.A
     m = a.shape[0] // grid.nt
     row0 = a.reshape(m, grid.nt, m, grid.nt)[:, 0]
     rebuilt = np.stack([np.roll(row0, q, axis=-1) for q in range(grid.nt)], axis=1)
     assert np.max(np.abs(a - rebuilt.reshape(a.shape))) <= 1e-13 * np.max(np.abs(a))
+    assert np.max(np.abs(matrix.A - a)) <= 1e-13 * np.max(np.abs(a))
+    assert np.max(np.abs(matrix.rhs - twin.rhs)) <= 1e-13 * np.max(np.abs(twin.rhs))
 
 
 @pytest.mark.parametrize("shape", [(13, 11), (17, 16)])
 @pytest.mark.parametrize("case", AUTONOMOUS)
 def test_autonomous_apply_is_row0_moved_in_t(case, shape):
     # apply_K correlates each block's row-0 weights with u through the
-    # rfft; row q of the stencils is row 0 with its t-indices moved by q
+    # rfft; row q of the stencils is row 0 with its t-indices moved by q.
+    # The traced twin contracts every row it traced by the gather
     p = autonomous_case(case)
     grid = gr.Grid(*shape)
     nt = grid.nt
@@ -380,6 +401,8 @@ def test_autonomous_apply_is_row0_moved_in_t(case, shape):
             for q in range(nt):
                 want[j - 1, i, q] = weights @ flat[cols - cols % nt + (cols + q) % nt]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    traced = op.apply_K(traced_twin(p), grid, u).values
+    assert np.max(np.abs(got - traced)) <= 1e-12 * np.max(np.abs(traced))
 
 
 def test_autonomous_problem_passes_the_dense_cap():

@@ -235,16 +235,10 @@ def test_apply_is_deterministic(full_problem):
 
 def test_shift_equivariance_for_autonomous_coefficients():
     # time-independent coefficients: advancing the state by one time cell
-    # and applying the operators must agree with applying then advancing
-    p = build(
-        n=2,
-        m=1,
-        a=["1/(1+x)", "-2"],
-        b=[["0.2", "0.4"], ["-0.3", "0.1"]],
-        g=[["0.3", "0"], ["0.1", "0.2"]],
-        h=[["0.1", "0.3"], ["0.2", "0.1"]],
-        r=[["0.5", "0"], ["0.25", "0.1"]],
-    )
+    # and applying the operators must agree with applying then advancing.
+    # With speed -2 only row 0 is traced and K is shift-equivariant by
+    # construction; -2+0*t traces every anchor row on its own, and both
+    # must give the same Ku
     grid = gr.Grid(9, 16)
     u = gr.GridFunction(
         grid,
@@ -255,11 +249,25 @@ def test_shift_equivariance_for_autonomous_coefficients():
             ]
         ),
     )
-    caches = op.CurveCache(p, grid)
     shifted = gr.GridFunction(grid, np.roll(u.values, -1, axis=2))
-    lhs = op.apply_K(p, grid, shifted, caches)
-    rhs = np.roll(op.apply_K(p, grid, u, caches).values, -1, axis=2)
-    assert np.max(np.abs(lhs.values - rhs)) <= 1e-10
+    applied = []
+    for speed, period in (("-2", grid.nt), ("-2+0*t", 1)):
+        p = build(
+            n=2,
+            m=1,
+            a=["1/(1+x)", speed],
+            b=[["0.2", "0.4"], ["-0.3", "0.1"]],
+            g=[["0.3", "0"], ["0.1", "0.2"]],
+            h=[["0.1", "0.3"], ["0.2", "0.1"]],
+            r=[["0.5", "0"], ["0.25", "0.1"]],
+        )
+        caches = op.CurveCache(p, grid)
+        assert caches.period == period
+        lhs = op.apply_K(p, grid, shifted, caches)
+        applied.append(op.apply_K(p, grid, u, caches).values)
+        rhs = np.roll(applied[-1], -1, axis=2)
+        assert np.max(np.abs(lhs.values - rhs)) <= 1e-10
+    assert np.max(np.abs(applied[0] - applied[1])) <= 1e-12 * np.max(np.abs(applied[1]))
 
 
 # --- stencils ---------------------------------------------------------------
