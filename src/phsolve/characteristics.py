@@ -284,37 +284,8 @@ def invert_time(p, j, z, x, t, cells=DEFAULT_CELLS):
 
 
 def invert_time_derivative(p, k, tau, x, t, cells=DEFAULT_CELLS):
-    """Derivative of invert_time with respect to the time argument.
-
-    Equals the speed at the inverse point; evaluated in transported form as
-
-        speed_k(x, t) * exp( - integral_tau^t (dx a + dt a / a)(curve) ),
-
-    with the exponent integrated by trapezoid over the time-parametrized
-    samples of the curve between tau and t.  Carries the sign of the speed.
-    """
-    tau = float(tau)
-    t = float(t)
-    xi, tm = _merged_span(p, k, x, t, cells)
-    pos = _invert_on_samples(p, k, xi, tm, tau)
-    increasing = tm[-1] >= tm[0]
-    key = tm if increasing else -tm
-    z_lo, z_hi = (tau, t) if tau <= t else (t, tau)
-    i_lo = int(np.searchsorted(key, z_lo if increasing else -z_hi))
-    i_hi = int(np.searchsorted(key, z_hi if increasing else -z_lo))
-    inner_xi = xi[i_lo:i_hi]
-    inner_tm = tm[i_lo:i_hi]
-    # assemble the path from tau to t, endpoints exact
-    if (inner_tm.size == 0) or increasing == (tau <= t):
-        xs_path = np.concatenate([[pos], inner_xi, [x]])
-        ts_path = np.concatenate([[tau], inner_tm, [t]])
-    else:
-        xs_path = np.concatenate([[pos], inner_xi[::-1], [x]])
-        ts_path = np.concatenate([[tau], inner_tm[::-1], [t]])
-    a_path = ex.evaluate(p.speeds[k - 1], xs_path, ts_path)
-    integrand = ex.evaluate(p.speed_dx(k), xs_path, ts_path) + ex.evaluate(
-        p.speed_dt(k), xs_path, ts_path
-    ) / a_path
-    integrand = np.broadcast_to(integrand, xs_path.shape)
-    exponent = _directed_trapezoid(integrand, ts_path)
-    return float(ex.evaluate(p.speeds[k - 1], x, t) * math.exp(-exponent))
+    """Derivative of invert_time with respect to the time argument: the
+    speed at the inverse point, since the curve moves in x at speed a_k.
+    Carries the sign of the speed."""
+    pos = invert_time(p, k, tau, x, t, cells)
+    return float(ex.evaluate(p.speeds[k - 1], pos, float(tau)))

@@ -15,15 +15,18 @@ Any other A is its own one block.  Assembly stores only block-row 0 of
 A, the rows at t-node 0, which is all of A in the one-block case and
 1 / nt of it otherwise, so an autonomous problem can pass the size at
 which the whole of A would no longer fit.  `OperatorMatrix.blocks`
-derives the blocks from it once per assembled matrix, for the decision
+derives the blocks from it once per assembled matrix, and
+`OperatorMatrix.block_sigma` their singular values, for the decision
 and the branch alike; A itself is expanded only when read.  The
 nt // 2 + 1 distinct Fourier blocks are decided from their pooled
 singular values; the one block from the two edges of its spectrum,
 sigma_min and sigma_max (which scales the default tau), taken from the
-LU factors of A by two Lanczos runs.  After the decision both are handled alike: the unique branch
-solves block by block, and the resonant branch decomposes each block
-into real (numerical) kernel and cokernel bases, a truncated
-least-squares solution, and the solvability defect of the forcing.
+LU factors of A by two Lanczos runs.  A value at or below tau counts
+as zero.  After the decision one pass handles every block by the values
+the decision saw of it: a block with none of them zero is solved, and
+only a block with a zero is decomposed by one SVD into real (numerical)
+kernel and cokernel bases, a truncated least-squares solution, and the
+solvability defect of the forcing.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -126,6 +129,12 @@ class OperatorMatrix:
         multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
         return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
 
+    @functools.cached_property
+    def block_sigma(self):
+        """The singular values of each block in `blocks`, descending,
+        computed once, on first use."""
+        return [svdvals(b) for b in self.blocks[0]]
+
 
 def assemble(p, grid):
     """Collocate I - K on the grid nodes, storing block-row 0 of A (see
@@ -137,8 +146,8 @@ def assemble(p, grid):
 
     The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
     with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
-    blocks derived from it, three times over, since the resonant branch
-    keeps two SVD factors of each.
+    blocks derived from it, three times over, since a block that
+    `solve_alternative` decomposes keeps two SVD factors.
     """
     caches = CurveCache(p, grid)
     nt, period = grid.nt, caches.period
@@ -186,7 +195,7 @@ def singular_spectrum(matrix, lu=None):
     """Singular values of A, descending.
 
     Without `lu`: all N values, pooled from the blocks of A (see
-    `OperatorMatrix.blocks`).  With the LU factors of A (see `factor`):
+    `OperatorMatrix.block_sigma`).  With the LU factors of A (see `factor`):
     only the edges [sigma_max, sigma_min], each from one implicitly
     restarted Lanczos run for the largest eigenvalue, of A^T A through
     dense products and of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
@@ -195,8 +204,7 @@ def singular_spectrum(matrix, lu=None):
     try:
         if lu is not None:
             return _edge_singular_values(matrix.A, lu)
-        blocks, multiplicity = matrix.blocks
-        return _pooled([svdvals(b) for b in blocks], multiplicity)
+        return _pooled(matrix.block_sigma, matrix.blocks[1])
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
@@ -270,15 +278,21 @@ def solve_alternative(matrix, tau=None):
     rank-deficient, report the kernel data and a truncated least-squares
     solution.
 
-    tau, when given, must be a finite number >= 0: singular values below
-    it count as zero.  A negative tau would let an exactly singular A
-    through to the solve; an infinite one would count every value as zero.
+    tau, when given, must be a finite number >= 0: singular values at or
+    below it count as zero.  A negative tau would let an exactly singular
+    A through to the solve; an infinite one would count every value as
+    zero.
 
-    Both branches work block by block (see `OperatorMatrix.blocks`) on
-    the rfft coefficients of rhs over the period.  A complex singular
-    pair (v, w) of a block that occurs twice, spread over t as
-    v exp(2 pi i k r / nt) / sqrt(nt), gives two real ones, its real and
-    imaginary parts scaled by sqrt(2); a real block gives one.
+    Each block (see `OperatorMatrix.blocks`) is judged by the values the
+    decision saw of it, and works on the rfft coefficients of rhs over
+    the period.  A block with none of them zero is solved: by the LU
+    factors for the one block, directly for a Fourier block.  A block
+    with a zero takes one SVD, whose values replace those the decision
+    saw; it gives up at least its smallest pair, since the decision saw
+    that one at or below tau.  A is unique when no block is decomposed.
+    A complex singular pair (v, w) of a block that occurs twice, spread
+    over t as v exp(2 pi i k r / nt) / sqrt(nt), gives two real ones, its
+    real and imaginary parts scaled by sqrt(2); a real block gives one.
     """
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
@@ -286,48 +300,53 @@ def solve_alternative(matrix, tau=None):
     if tau is None:
         tau = default_tolerance(sigma, matrix.size)
     blocks, multiplicity = matrix.blocks
+    # the values the decision saw: the one block's edges, or every value
+    # of each Fourier block
+    seen = [sigma] if lu is not None else matrix.block_sigma
+    zero = [s[-1] <= tau for s in seen]
+    unique = not any(zero)
+    if not unique:
+        lu = None  # an N x N copy the SVD of a one-block A can use
+    try:
+        # all SVDs before any product: numpy and scipy link separate BLAS
+        # libraries, and alternating them keeps both thread pools spinning
+        # for the other's cores
+        factors = [svd(b) if z else None for b, z in zip(blocks, zero)]
+    except Exception as err:
+        raise SpectrumError(f"decomposition failed: {err}") from err
     period = matrix.period
     rhs_hat = _to_blocks(matrix.rhs, period)
-    unique = bool(sigma[-1] > tau)
-    if unique:
-        if lu is None:
-            u_hat = [np.linalg.solve(b, r) for b, r in zip(blocks, rhs_hat)]
-        else:
-            u_hat = [lu_solve(lu, rhs_hat[0])]
-        sigma = sigma[[0, -1]]
-        kernel = cokernel = np.zeros((matrix.size, 0))
-        defect = None
-    else:
-        del lu  # an N x N copy the SVD of a one-block A can use
-        try:
-            # all blocks before any product: numpy and scipy link separate
-            # BLAS libraries, and alternating them keeps both thread pools
-            # spinning for the other's cores
-            factors = [svd(b) for b in blocks]
-        except Exception as err:
-            raise SpectrumError(f"decomposition failed: {err}") from err
-        u_hat, kernel, cokernel, order = [], [], [], []
-        for k, ((left, s, right_h), mult) in enumerate(zip(factors, multiplicity)):
-            keep = s >= tau
-            coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
-            u_hat.append(right_h[keep].conj().T @ coeffs)
-            wave = np.exp(2j * np.pi * k * np.arange(period) / period) / math.sqrt(period)
+    u_hat, kernel, cokernel, order = [], [], [], []
+    for k, (b, f, mult) in enumerate(zip(blocks, factors, multiplicity)):
+        if f is None:
+            r = rhs_hat[k]
+            u_hat.append(np.linalg.solve(b, r) if lu is None else lu_solve(lu, r))
+            continue
+        left, s, right_h = f
+        keep = s > tau
+        keep[-1] = False  # the decision saw this one at or below tau
+        coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
+        u_hat.append(right_h[keep].conj().T @ coeffs)
+        wave = np.exp(2j * np.pi * k * np.arange(period) / period) / math.sqrt(period)
+        if mult == 1:
+            wave = wave.real
+        for vecs, out in ((right_h[~keep].conj(), kernel), (left[:, ~keep].T, cokernel)):
+            full = (vecs[:, :, None] * wave).reshape(len(vecs), matrix.size)
             if mult == 1:
-                wave = wave.real
-            for vecs, out in ((right_h[~keep].conj(), kernel), (left[:, ~keep].T, cokernel)):
-                full = (vecs[:, :, None] * wave).reshape(len(vecs), matrix.size)
-                if mult == 1:
-                    out.extend(full)
-                else:
-                    root2 = math.sqrt(2.0)
-                    out.extend(root2 * v for pair in zip(full.real, full.imag) for v in pair)
-            order.extend(np.repeat(s[~keep], mult))
-        # columns by descending singular value, as a dense SVD orders them
-        rank = np.argsort(-np.asarray(order), kind="stable")
-        kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
-        cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
+                out.extend(full)
+            else:
+                root2 = math.sqrt(2.0)
+                out.extend(root2 * v for pair in zip(full.real, full.imag) for v in pair)
+        order.extend(np.repeat(s[~keep], mult))
+    # columns by descending singular value, as a dense SVD orders them
+    rank = np.argsort(-np.asarray(order), kind="stable")
+    kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
+    cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
+    if unique:
+        sigma, defect = sigma[[0, -1]], None
+    else:
+        sigma = _pooled([s if f is None else f[1] for s, f in zip(seen, factors)], multiplicity)
         defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
-        sigma = _pooled([s for _, s, _ in factors], multiplicity)
     p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
     res = residual(p, grid, solution, caches=matrix.caches)

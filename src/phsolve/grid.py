@@ -138,12 +138,9 @@ def sup_norm(g):
 
 def dump_csv(g, path):
     """Write rows (j,i,q,x,t,value) in flat order with a header line."""
+    ts = list(enumerate(g.grid.ts.tolist()))
+    places = [f"{i},{q},{x!r},{t!r}," for i, x in enumerate(g.grid.xs.tolist()) for q, t in ts]
     with open(path, "w") as fh:
         fh.write("j,i,q,x,t,value\n")
-        for j in range(1, g.n + 1):
-            for i in range(g.grid.nx):
-                x = float(g.grid.xs[i])
-                for q in range(g.grid.nt):
-                    t = float(g.grid.ts[q])
-                    v = float(g.values[j - 1, i, q])
-                    fh.write(f"{j},{i},{q},{x!r},{t!r},{v!r}\n")
+        for j, values in enumerate(g.values.reshape(g.n, -1).tolist(), start=1):
+            fh.writelines(f"{j},{place}{v!r}\n" for place, v in zip(places, values))

@@ -153,13 +153,6 @@ class ProblemSpec:
         """The endpoint whose trace of u_k feeds the other equations."""
         return 1.0 - self.bc_side(k)
 
-    def speed_dx(self, j):
-        """Symbolic x-derivative of speed j (cached)."""
-        key = ("x", j)
-        if key not in self._d_speeds:
-            self._d_speeds[key] = ex.differentiate(self.speeds[j - 1], "x")
-        return self._d_speeds[key]
-
     def speed_dt(self, j):
         """Symbolic t-derivative of speed j (cached)."""
         key = ("t", j)

@@ -238,6 +238,50 @@ def test_exactly_singular_matrix_takes_resonant_branch(speed):
     assert report.defect == 0.0
 
 
+@pytest.mark.parametrize(
+    "make, shape, tau, kernel_dim",
+    [
+        # A = I: every value equals tau = 1, so every value counts as zero
+        pytest.param(problems.pure_forcing, (5, 4), 1.0, 20, id="identity-tau-1"),
+        # the exact zero pivot decides sigma_min = 0 <= tau = 0; the SVD of
+        # A puts its smallest value at about 5e-19, and that pair still
+        # counts as zero, as the decision saw it
+        pytest.param(
+            lambda: build(a=["1+0*t"], r=[["1"]], f=["1"]), (9, 8), 0.0, 1, id="zero-pivot-tau-0"
+        ),
+    ],
+)
+def test_values_at_tau_count_as_zero(make, shape, tau, kernel_dim):
+    report = fr.solve_alternative(fr.assemble(make(), gr.Grid(*shape)), tau=tau)
+    assert report.unique is False
+    assert report.unique is (report.kernel_dim == 0)
+    assert report.kernel_dim == kernel_dim
+    assert report.kernel_basis.shape[1] == report.cokernel_basis.shape[1] == kernel_dim
+    assert np.all(np.isfinite(report.solution.values))
+    assert gr.sup_norm(report.solution) <= 10.0
+
+
+@pytest.mark.parametrize("tau, decomposed", [(None, 0), (1e-2, 3)])
+def test_only_blocks_with_a_zero_are_decomposed(monkeypatch, tau, decomposed):
+    # example13 at 17 x 16 has 9 Fourier blocks; under tau = 1e-2 three of
+    # them hold values at or below tau.  The decision takes the values of
+    # each block once, and only those three take an SVD
+    calls = {"svd": 0, "svdvals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fr, "svd", counted("svd", fr.svd))
+    monkeypatch.setattr(fr, "svdvals", counted("svdvals", fr.svdvals))
+    report = fr.solve_alternative(fr.assemble(problems.example13(), gr.Grid(17, 16)), tau=tau)
+    assert calls == {"svd": decomposed, "svdvals": 9}
+    assert report.unique is (decomposed == 0)
+
+
 @pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf])
 def test_tau_below_zero_or_nan_rejected_before_factoring(monkeypatch, tau):
     # with tau = -1 the exactly singular problem above used to take the
@@ -343,6 +387,7 @@ def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
         small = s < (fr.default_tolerance(s, matrix.size) if tau is None else tau)
         keep = ~small
         assert report.unique is not small.any()
+        assert report.unique is (report.kernel_dim == 0)
         assert report.kernel_dim == int(np.count_nonzero(small))
         want = right_t[keep].T @ ((left[:, keep].T @ matrix.rhs) / s[keep])
         got = report.solution.values.reshape(-1)

@@ -137,6 +137,24 @@ def test_zeros():
     assert g.n == 3 and gr.sup_norm(g) == 0.0
 
 
+def test_dump_csv_writes_each_value_by_its_repr(tmp_path):
+    g = make_gf(3, 4, fns=(lambda x, t: x * np.cos(t), lambda x, t: np.sin(x + t) * 1e-300))
+    g.values[0, 0, 0] = -0.0
+    g.values[1, 2, 3] = 0.1
+    path = tmp_path / "solution.csv"
+    gr.dump_csv(g, path)
+    want = ["j,i,q,x,t,value\n"]
+    for j in range(1, 3):
+        for i in range(3):
+            for q in range(4):
+                x, t, v = (float(a) for a in (g.grid.xs[i], g.grid.ts[q], g.values[j - 1, i, q]))
+                want.append(f"{j},{i},{q},{x!r},{t!r},{v!r}\n")
+    data = path.read_bytes()
+    assert data == "".join(want).encode()
+    assert b"\n1,0,0,0.0,0.0,-0.0\n" in data
+    assert data.endswith(b"\n2,2,3,1.0,4.71238898038469,0.1\n")
+
+
 def test_dump_csv_round_trips_values(tmp_path):
     g = make_gf(5, 4, fns=(lambda x, t: np.sin(x) * np.cos(t), lambda x, t: x + 0.0 * t))
     path = tmp_path / "solution.csv"
