@@ -62,7 +62,7 @@ def _speed_at(p, j, xi, om, sign=None):
     val = ex.evaluate(p.speeds[j - 1], xi, om)
     margin = np.abs(val) if sign is None else val * sign
     if np.min(margin) < SPEED_FLOOR:
-        bad = np.broadcast_to(margin < SPEED_FLOOR, om.shape).argmax()
+        bad = (margin < SPEED_FLOOR).argmax()
         raise TraceError(
             f"speed of component {j} vanishes or changes sign near "
             f"xi={float(np.broadcast_to(xi, om.shape).flat[bad]):.6g}"
@@ -115,7 +115,7 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     avals = np.empty_like(times)
     logc = np.empty_like(times) if with_gain else None
     om = np.broadcast_to(t, rows.shape)
-    a1 = np.broadcast_to(_speed_at(p, j, xs[order][:, None], om), om.shape)
+    a1 = _speed_at(p, j, xs[order][:, None], om)
     sign = np.sign(a1)
     times[rows] = om
     avals[rows] = a1
@@ -143,7 +143,7 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
             lg = lg + (hh / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         om = om + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # first stage of the next step, or the speed at the end sample
-        a1 = np.broadcast_to(_speed_at(p, j, x1, om, sign), om.shape)
+        a1 = _speed_at(p, j, x1, om, sign)
         at = rows[:a] + (s + 1)
         times[at] = om
         avals[at] = a1
@@ -205,7 +205,6 @@ def _crossing_exponent(p, j, curve):
     integrand = ex.evaluate(p.speed_dt(j), curve.xi, curve.times) / np.square(
         ex.evaluate(p.speeds[j - 1], curve.xi, curve.times)
     )
-    integrand = np.broadcast_to(integrand, curve.xi.shape)
     # stored order integrates from x toward xi; the identity wants xi -> x
     return math.exp(-_directed_trapezoid(integrand, curve.xi))
 
@@ -288,4 +287,4 @@ def invert_time_derivative(p, k, tau, x, t, cells=DEFAULT_CELLS):
     speed at the inverse point, since the curve moves in x at speed a_k.
     Carries the sign of the speed."""
     pos = invert_time(p, k, tau, x, t, cells)
-    return float(ex.evaluate(p.speeds[k - 1], pos, float(tau)))
+    return ex.evaluate(p.speeds[k - 1], pos, float(tau))

@@ -3,8 +3,16 @@
 Grammar (tightest first): ^ is right-associative, then unary minus, then
 * and /, then + and -.  So -x^2 means -(x^2).  Variables are exactly x and
 t, the constants pi and e are built in, and the unary functions sin, cos,
-tan, exp, log, sqrt, abs are known.  Evaluation is numpy-aware: x and t may
-be scalars or broadcastable arrays.
+tan, exp, log, sqrt, abs are known.  Number literals must be finite: one
+that overflows a float is refused by the lexer.
+
+Evaluation is numpy-aware: x and t may be scalars or broadcastable arrays,
+and the result is a float when both are scalars, otherwise a float array of
+their broadcast shape.  A coefficient must be finite wherever it is
+evaluated, so a domain violation (division by zero, log of a nonpositive
+value, overflow, ...) raises EvalError naming the subexpression at which
+numpy raises its divide, overflow or invalid floating-point flag; underflow
+to zero is allowed.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ _FUNCTIONS = {
     "sqrt": np.sqrt,
     "abs": np.abs,
 }
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -125,6 +135,8 @@ def tokenize(source):
                     i = j
                     while i < n and source[i].isdigit():
                         i += 1
+            if not math.isfinite(float(source[start:i])):
+                raise LexError("number out of range", start)
             tokens.append(Token("number", source[start:i], start))
             continue
         if ch == ".":
@@ -257,12 +269,6 @@ def parse(source):
     return node
 
 
-def _checked(value, node):
-    if not np.all(np.isfinite(value)):
-        raise EvalError(f"non-finite value from {to_string(node)!r}", node)
-    return value
-
-
 def _eval(node, x, t):
     if isinstance(node, Const):
         return node.value
@@ -271,31 +277,32 @@ def _eval(node, x, t):
     if isinstance(node, Neg):
         return np.negative(_eval(node.child, x, t))
     if isinstance(node, Call):
-        return _checked(_FUNCTIONS[node.fn](_eval(node.arg, x, t)), node)
-    left = _eval(node.left, x, t)
-    right = _eval(node.right, x, t)
-    op = node.op
-    if op == "+":
-        out = np.add(left, right)
-    elif op == "-":
-        out = np.subtract(left, right)
-    elif op == "*":
-        out = np.multiply(left, right)
-    elif op == "/":
-        out = np.divide(left, right)
+        fn, args = _FUNCTIONS[node.fn], (_eval(node.arg, x, t),)
     else:
-        out = np.power(np.asarray(left, dtype=float), right)
-    return _checked(out, node)
+        fn, args = _BINARY[node.op], (_eval(node.left, x, t), _eval(node.right, x, t))
+    try:
+        return fn(*args)
+    except FloatingPointError:
+        raise EvalError(f"non-finite value from {to_string(node)!r}", node) from None
 
 
 def evaluate(node, x, t):
     """Evaluate at (x, t); either argument may be a scalar or an ndarray.
-    Domain violations raise EvalError instead of propagating NaN/inf."""
-    with np.errstate(all="ignore"):
+    Returns a float when both are scalars, otherwise a float array of
+    their broadcast shape, which may be x or t itself.  Domain violations
+    raise EvalError instead of propagating NaN/inf (see the module
+    docstring)."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         out = _eval(node, x, t)
-    if np.ndim(out) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    shape = np.broadcast(x, t).shape
+    if np.shape(out) != shape:
+        out = np.full(shape, out)
+    # backstop for a non-finite x or t, which passes through unflagged
+    if not np.isfinite(out).all():
+        raise EvalError(f"non-finite value from {to_string(node)!r}", node)
+    return out if shape else float(out)
 
 
 # --- construction helpers with literal constant folding ---------------------

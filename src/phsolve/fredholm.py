@@ -22,11 +22,13 @@ nt // 2 + 1 distinct Fourier blocks are decided from their pooled
 singular values; the one block from the two edges of its spectrum,
 sigma_min and sigma_max (which scales the default tau), taken from the
 LU factors of A by two Lanczos runs.  A value at or below tau counts
-as zero.  After the decision one pass handles every block by the values
-the decision saw of it: a block with none of them zero is solved, and
-only a block with a zero is decomposed by one SVD into real (numerical)
-kernel and cokernel bases, a truncated least-squares solution, and the
-solvability defect of the forcing.
+as zero, and tau is never below N * eps * sigma_max, numpy's
+`matrix_rank` tolerance, under which a value is round-off.  After the
+decision one pass handles every block by the values the decision saw of
+it: a block with none of them zero is solved, and only a block with a
+zero is decomposed by one SVD into real (numerical) kernel and cokernel
+bases, a truncated least-squares solution, and the solvability defect of
+the forcing.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -281,7 +283,9 @@ def solve_alternative(matrix, tau=None):
     tau, when given, must be a finite number >= 0: singular values at or
     below it count as zero.  A negative tau would let an exactly singular
     A through to the solve; an infinite one would count every value as
-    zero.
+    zero.  A tau under the round-off floor N * eps * sigma_max is raised
+    to it, since a smaller value does not tell an exact zero from its
+    rounding, and the report records the tau applied.
 
     Each block (see `OperatorMatrix.blocks`) is judged by the values the
     decision saw of it, and works on the rfft coefficients of rhs over
@@ -297,8 +301,8 @@ def solve_alternative(matrix, tau=None):
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
     sigma, lu = _decide(matrix)
-    if tau is None:
-        tau = default_tolerance(sigma, matrix.size)
+    floor = matrix.size * np.finfo(float).eps * float(sigma[0])
+    tau = default_tolerance(sigma, matrix.size) if tau is None else max(tau, floor)
     blocks, multiplicity = matrix.blocks
     # the values the decision saw: the one block's edges, or every value
     # of each Fourier block
@@ -415,13 +419,9 @@ def check_levy(p, grid, delta=None, tol=1e-8):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    shape = (grid.nx, grid.nt)
     xg = grid.xs[:, None]
     tg = grid.ts[None, :]
-    speeds = [
-        np.broadcast_to(np.asarray(ex.evaluate(a, xg, tg), float), shape)
-        for a in p.speeds
-    ]
+    speeds = [ex.evaluate(a, xg, tg) for a in p.speeds]
     if delta is None:
         delta = 1e-6 * max(float(np.max(np.abs(a))) for a in speeds)
     pairs = []
@@ -429,15 +429,12 @@ def check_levy(p, grid, delta=None, tol=1e-8):
         for k in range(1, p.n + 1):
             if k == j:
                 continue
-            bv = np.broadcast_to(
-                np.asarray(ex.evaluate(p.coupling[j - 1][k - 1], xg, tg), float),
-                shape,
-            )
+            bv = ex.evaluate(p.coupling[j - 1][k - 1], xg, tg)
             gap = speeds[k - 1] - speeds[j - 1]
             mask = np.abs(gap) >= delta
             bound = float(np.max(np.abs(bv[mask] / gap[mask]))) if np.any(mask) else 0.0
             excess = np.abs(bv) - ((bound + 1.0) * np.abs(gap) + tol)
-            worst = np.unravel_index(int(np.argmax(excess)), shape)
+            worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
             if excess[worst] > 0.0:
                 witness = (float(grid.xs[worst[0]]), float(grid.ts[worst[1]]))
                 pairs.append(LevyPair(j, k, bound, False, witness))

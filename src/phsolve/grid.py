@@ -81,7 +81,7 @@ def sample_exprs(exprs, grid):
     t = grid.ts[None, :]
     vals = np.empty((len(exprs), grid.nx, grid.nt))
     for k, e in enumerate(exprs):
-        vals[k] = np.broadcast_to(evaluate(e, x, t), (grid.nx, grid.nt))
+        vals[k] = evaluate(e, x, t)
     return GridFunction(grid, vals)
 
 

@@ -149,10 +149,6 @@ class CurveCache:
         return got
 
 
-def _eval_on(node, xq, tq, shape):
-    return np.broadcast_to(np.asarray(ex.evaluate(node, xq, tq), dtype=float), shape)
-
-
 def _boundary_column(p, grid, k):
     # component k is prescribed at its own side; the operator reads the
     # opposite end of the interval
@@ -176,7 +172,7 @@ def _r_parts(p, grid, j, cur):
     nodes, weights = cubic_t_stencil(grid, om)
     scale = cur.gain[:, -1][:, None] * x_trapezoid(grid)[None, :]
     for k in live:
-        coeff = scale * _eval_on(row[k - 1], grid.xs[None, :], om[:, None], (len(om), nx))
+        coeff = scale * ex.evaluate(row[k - 1], grid.xs[None, :], om[:, None])
         base = (k - 1) * nx * nt + np.arange(nx)[None, :] * nt
         for qn, wn in zip(nodes, weights):
             yield base + qn[:, None], coeff * wn[:, None]
@@ -195,7 +191,7 @@ def _b_parts(p, grid, j, cur, cw, t_stencil):
     wx0 = (1.0 - thx)[None, :]
     wx1 = thx[None, :]
     for k in live:
-        C = -cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
+        C = -cw * ex.evaluate(row[k - 1], cur.xi[None, :], cur.times)
         base = (k - 1) * nx * nt
         c0 = base + i0[None, :] * nt
         c1 = base + (i0 + 1)[None, :] * nt
@@ -214,7 +210,7 @@ def _h_parts(p, grid, j, cur, cw, t_stencil):
     nt, nx = grid.nt, grid.nx
     nodes, weights = t_stencil()
     for k in live:
-        C = cw * _eval_on(row[k - 1], cur.xi[None, :], cur.times, cur.times.shape)
+        C = cw * ex.evaluate(row[k - 1], cur.xi[None, :], cur.times)
         base = (k - 1) * nx * nt + _boundary_column(p, grid, k) * nt
         for qn, wn in zip(nodes, weights):
             yield base + qn, C * wn
@@ -241,9 +237,7 @@ def _g_parts(p, grid, caches, j, i, cur, cw, t_stencil):
     wi = caches.inner_weights(j, i)
     cols = np.broadcast_to(np.arange(nx * nt).reshape(1, nx, nt), (rows, nx, nt))
     for k in live:
-        gv = _eval_on(
-            row[k - 1], grid.xs[None, None, :], cur.times[:, :, None], (rows, samples, nx)
-        )
+        gv = ex.evaluate(row[k - 1], grid.xs[None, None, :], cur.times[:, :, None])
         W3 = (-cw)[:, :, None] * wi[None, :, :] * gv
         yield (k - 1) * nx * nt + cols, np.swapaxes(W3, 1, 2) @ interp
 
@@ -282,7 +276,7 @@ def _forcing(p, grid, caches, j, i):
     if caches.period != 1:
         times = times + grid.ts[:, None]
     cw = np.broadcast_to(cur.trap[None, :] * cur.weight, times.shape)
-    fv = _eval_on(fj, cur.xi[None, :], times, times.shape)
+    fv = ex.evaluate(fj, cur.xi[None, :], times)
     return np.einsum("qs,qs->q", cw, fv)
 
 

@@ -76,7 +76,7 @@ def _check_periodic(e, key):
     except ex.EvalError as err:
         raise ValidationError(f"not evaluable on the domain: {err}", key) from err
     scale = max(1.0, float(np.max(np.abs(now))))
-    gap = float(np.max(np.abs(np.asarray(now) - np.asarray(shifted))))
+    gap = float(np.max(np.abs(now - shifted)))
     if gap > PERIOD_TOL * scale:
         raise ValidationError(f"not 2*pi-periodic in t (gap {gap:.3e})", key)
 
@@ -126,7 +126,7 @@ class ProblemSpec:
         for j, e in enumerate(self.speeds):
             key = f"a[{j + 1}]"
             _check_periodic(e, key)
-            vals = np.broadcast_to(ex.evaluate(e, _VAL_X, _VAL_T), (31, 37))
+            vals = ex.evaluate(e, _VAL_X, _VAL_T)
             if float(np.abs(vals).min()) <= 0.0:
                 raise ValidationError("speed vanishes on the sample grid", key)
             if float(vals.min()) < 0.0 < float(vals.max()):

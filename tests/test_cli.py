@@ -200,6 +200,21 @@ def test_overflowing_gain_exits_one(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_overflowing_literal_exits_one(tmp_path, capsys):
+    # 1e400 read as an infinite speed: the solve leaked a RuntimeWarning,
+    # exited 0 and wrote an all-zero solution
+    path = tmp_path / "literal.json"
+    data = to_dict(problems.pure_forcing())
+    data["a"] = ["1e400"]
+    path.write_text(json.dumps(data))
+    code = run(tmp_path, "solve", "--problem", str(path), "--nx", "9", "--nt", "8")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a[1]") and err.count("\n") == 1
+    assert "number out of range" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_infinite_tau_exits_one(tmp_path, capsys):
     # tau = inf counted every singular value as zero, exited 2 and wrote
     # "tau": Infinity, which is not JSON, into report.json

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,13 @@ def test_tokenize_malformed_number():
     with pytest.raises(ex.LexError) as info:
         ex.tokenize("2..5")
     assert info.value.offset == 1
+
+
+def test_tokenize_number_out_of_range():
+    # 1e400 reads as inf, and x/inf = 0 raises no floating-point flag
+    with pytest.raises(ex.LexError, match="number out of range") as info:
+        ex.tokenize("2+x/1e400")
+    assert info.value.offset == 4
 
 
 def test_tokenize_rejects_unknown_characters():
@@ -124,12 +136,80 @@ def test_evaluate_broadcasts_arrays():
     out = ex.evaluate(node, xs, ts)
     assert out.shape == (7, 5)
     assert out[3, 2] == ex.evaluate(node, float(xs[3, 0]), float(ts[0, 2]))
+    const = ex.evaluate(ex.parse("2"), xs, ts)
+    assert const.shape == (7, 5) and const.dtype == float and np.all(const == 2.0)
+    assert type(ex.evaluate(ex.parse("2"), 0.5, 1)) is float
+    assert type(ex.evaluate(node, np.float64(0.5), 1.0)) is float
 
 
-@pytest.mark.parametrize("source", ["1/(x-x)", "log(0*x)", "sqrt(0-1-x^2)"])
-def test_evaluate_domain_violation(source):
-    with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse(source), 0.3, 0.7)
+# (source, the subexpression whose value is not finite at x = 0.3)
+DOMAIN_VIOLATIONS = [
+    ("1/(x-x)", "1/(x-x)"),
+    ("log(0*x)", "log(0*x)"),
+    ("sqrt(0-1-x^2)", "sqrt(0-1-x^2)"),
+    # the non-finite value is gone from the result: a check of the result
+    # alone passes these
+    ("exp(-1/(x-0.3)^2)", "-1/(x-0.3)^2"),
+    ("1/exp(1000+x)", "exp(1000+x)"),
+]
+
+# x = 0.3 alone and among 66 other points, so that both the scalar path and
+# the vector loops of numpy's ufuncs see the violation
+_DOMAIN_PROBE = """
+import json, sys
+import numpy as np
+from phsolve import expr as ex
+
+xs = np.linspace(0.0, 1.0, 67)
+xs[20] = 0.3
+culprits = {}
+for source in json.loads(sys.argv[1]):
+    for x in (0.3, xs):
+        try:
+            ex.evaluate(ex.parse(source), x, 0.7)
+            culprits.setdefault(source, []).append(None)
+        except ex.EvalError as err:
+            culprits.setdefault(source, []).append(ex.to_string(err.node))
+print(json.dumps(culprits))
+"""
+
+
+@pytest.mark.parametrize(
+    "source, culprit", DOMAIN_VIOLATIONS, ids=[source for source, _ in DOMAIN_VIOLATIONS]
+)
+def test_evaluate_domain_violation(source, culprit):
+    for x in (0.3, np.array([0.1, 0.3, 0.9])):
+        with pytest.raises(ex.EvalError) as info:
+            ex.evaluate(ex.parse(source), x, 0.7)
+        assert info.value.node == ex.parse(culprit)
+        assert str(info.value) == f"non-finite value from {ex.to_string(ex.parse(culprit))!r}"
+
+
+def test_domain_violations_flagged_by_numpy_baseline_loops():
+    # the evaluator relies on numpy raising its floating-point flags; rerun
+    # the cases above with every dispatched CPU feature switched off
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    check = [
+        sys.executable, "-c",
+        "from numpy._core._multiarray_umath import __cpu_dispatch__ as d, "
+        "__cpu_features__ as f; print(sum(bool(f.get(k)) for k in d))",
+    ]
+    probe = subprocess.run(check, env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        reason = (probe.stderr.strip().splitlines() or ["no message"])[-1]
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {reason}")
+    assert probe.stdout.strip() == "0", "dispatched CPU features still active"
+    sources = [source for source, _ in DOMAIN_VIOLATIONS]
+    run = subprocess.run(
+        [sys.executable, "-c", _DOMAIN_PROBE, json.dumps(sources)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    want = {s: [ex.to_string(ex.parse(c))] * 2 for s, c in DOMAIN_VIOLATIONS}
+    assert json.loads(run.stdout) == want
 
 
 # --- differentiation --------------------------------------------------------

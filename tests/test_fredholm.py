@@ -249,10 +249,15 @@ def test_exactly_singular_matrix_takes_resonant_branch(speed):
         pytest.param(
             lambda: build(a=["1+0*t"], r=[["1"]], f=["1"]), (9, 8), 0.0, 1, id="zero-pivot-tau-0"
         ),
+        # its autonomous twin: the Fourier blocks put sigma_min at about
+        # 1.7e-18, above tau = 0 but under the round-off floor
+        # N * eps * sigma_max that tau is raised to
+        pytest.param(lambda: build(r=[["1"]], f=["1"]), (9, 8), 0.0, 1, id="autonomous-tau-0"),
     ],
 )
 def test_values_at_tau_count_as_zero(make, shape, tau, kernel_dim):
     report = fr.solve_alternative(fr.assemble(make(), gr.Grid(*shape)), tau=tau)
+    assert report.tau >= tau
     assert report.unique is False
     assert report.unique is (report.kernel_dim == 0)
     assert report.kernel_dim == kernel_dim
