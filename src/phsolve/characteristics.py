@@ -22,6 +22,7 @@ it with a single position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,17 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     lg = np.zeros(om.shape)
     if with_gain:
         logc[rows] = 0.0
+    speed = p.speeds[j - 1]
+    if ex.mentions(speed, "x") or ex.mentions(speed, "t"):
+        speed_at = functools.partial(_speed_at, p, j)
+    else:
+        # a constant speed that passed the anchors' check passes every
+        # stage's: it is evaluated once, and every stage reads that value
+        value = a1.flat[0]
+
+        def speed_at(_xi, om, _sign):
+            return np.broadcast_to(value, om.shape)
+
     for s in range(steps[0]):
         a = int(np.count_nonzero(steps > s))
         om, lg, a1, sign, hh = om[:a], lg[:a], a1[:a], sign[:a], hs[:a]
@@ -129,11 +141,11 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
         x1 = xi_all[first[:a] + s + 1][:, None]
         xm = x0 + 0.5 * hh
         k1 = 1.0 / a1
-        a2 = _speed_at(p, j, xm, om + 0.5 * hh * k1, sign)
+        a2 = speed_at(xm, om + 0.5 * hh * k1, sign)
         k2 = 1.0 / a2
-        a3 = _speed_at(p, j, xm, om + 0.5 * hh * k2, sign)
+        a3 = speed_at(xm, om + 0.5 * hh * k2, sign)
         k3 = 1.0 / a3
-        a4 = _speed_at(p, j, x1, om + hh * k3, sign)
+        a4 = speed_at(x1, om + hh * k3, sign)
         k4 = 1.0 / a4
         if with_gain:
             l1 = ex.evaluate(diag, x0, om) * k1
@@ -143,7 +155,7 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
             lg = lg + (hh / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         om = om + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # first stage of the next step, or the speed at the end sample
-        a1 = _speed_at(p, j, x1, om, sign)
+        a1 = speed_at(x1, om, sign)
         at = rows[:a] + (s + 1)
         times[at] = om
         avals[at] = a1

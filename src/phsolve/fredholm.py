@@ -28,7 +28,9 @@ decision one pass handles every block by the values the decision saw of
 it: a block with none of them zero is solved, and only a block with a
 zero is decomposed by one SVD into real (numerical) kernel and cokernel
 bases, a truncated least-squares solution, and the solvability defect of
-the forcing.
+the forcing.  The residual of that solution applies K and F from the
+assembled A and rhs, which assembly leaves in its curve cache, rather
+than walking the parts of K again (see `operators`).
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svd, svdvals
+from scipy.linalg.blas import dgemv
 
 from . import expr as ex
 from .grid import Grid, GridFunction, sample_exprs, sup_norm
@@ -178,6 +181,9 @@ def assemble(p, grid):
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
+    # the prepared operator: apply_K and apply_F on this cache read A and
+    # rhs instead of walking K and F again
+    caches.row0, caches.rhs = row0, rhs
     return OperatorMatrix(row0, rhs, grid, p, caches)
 
 
@@ -239,7 +245,15 @@ def _largest_eigenvalue(size, matvec):
 
 def _edge_singular_values(a, lu):
     size = a.shape[0]
-    sigma_max = math.sqrt(_largest_eigenvalue(size, lambda v: a.T @ (a @ v)))
+    # the Gram products in scipy's BLAS, like the factors: numpy links a
+    # separate OpenBLAS, and on 2 cores switching to it after lu_factor
+    # doubled the Lanczos run; a.T is F-ordered, so dgemv takes it uncopied
+    at = a.T
+
+    def gram(v):
+        return dgemv(1.0, at, dgemv(1.0, at, v, trans=1))
+
+    sigma_max = math.sqrt(_largest_eigenvalue(size, gram))
     if np.any(np.diagonal(lu[0]) == 0.0):
         return np.array([sigma_max, 0.0])
 
@@ -465,7 +479,11 @@ def _check_refining(grids):
 
 def convergence_study(p, grids, exact=None, tau=None):
     """Refinement table: sup-norm error against an exact solution when
-    one is supplied, otherwise the smallest singular value per grid."""
+    one is supplied, otherwise the smallest singular value per grid.
+    tau is read by the solves of the error table only; the sigma_min
+    table refuses it rather than ignore it."""
+    if tau is not None and exact is None:
+        raise ValueError("tau is read only with an exact solution (--exact)")
     _check_refining(list(grids))
     nodes = None
     if exact is not None:

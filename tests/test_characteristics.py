@@ -84,6 +84,31 @@ def test_constant_diagonal_gain():
     assert np.all(curve.gain > 0.0)
 
 
+@pytest.mark.parametrize("a, b", [("2/pi", "0"), ("-1/3", "0.5*sin(t)")])
+def test_constant_speed_is_evaluated_once_per_trace(monkeypatch, a, b):
+    # a speed that mentions neither x nor t is evaluated at the anchors
+    # only; the curves equal those of a twin that mentions x, whose speed
+    # is evaluated at every RK4 stage
+    p, twin = one_component(a, b), one_component(f"{a}+0*x", b)
+    calls = []
+    evaluate = ex.evaluate
+
+    def counted(node, *args):
+        calls.append(node)
+        return evaluate(node, *args)
+
+    monkeypatch.setattr(ex, "evaluate", counted)
+    grid = Grid(17, 16)
+    side = 0.0 if a.startswith("-") else 1.0
+    got = ch.trace_arrays(p, 1, grid.xs, grid.ts, side, grid.nx - 1, ch.DEFAULT_SUBSTEPS)
+    assert calls.count(p.speeds[0]) == 1
+    want = ch.trace_arrays(twin, 1, grid.xs, grid.ts, side, grid.nx - 1, ch.DEFAULT_SUBSTEPS)
+    assert calls.count(twin.speeds[0]) > 4 * (grid.nx - 1)
+    for got_arrays, want_arrays in zip(got, want):
+        for g, w in zip(got_arrays, want_arrays):
+            assert np.array_equal(g, w)
+
+
 def test_space_dependent_speed_quadratic_oracle():
     # speed 1/(1+x) gives dt/dxi = 1+xi, so the crossing time is the
     # quadratic t + (xi-x) + (xi^2-x^2)/2 and the weight is 1+xi

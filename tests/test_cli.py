@@ -370,6 +370,15 @@ def test_converge_sigma_table(tmp_path):
     assert values[2] < values[0]
 
 
+def test_converge_refuses_tau_without_exact(tmp_path, capsys):
+    argv = ["converge", "--builtin", "example13", "--nx", "5", "--nt", "4", "--tau", "5"]
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tau" in err and "--exact" in err
+    assert not (tmp_path / "converge.csv").exists()
+
+
 def test_residual_of_exact_candidate(tmp_path):
     code = run(
         tmp_path,

@@ -64,11 +64,13 @@ def test_assembled_matrix_realizes_operator(case, full_problem):
         p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(p, grid)
+    # a fresh cache walks K's parts; the assembled one would read A back
+    caches = op.CurveCache(p, grid)
     rng = np.random.default_rng(5)
     for _ in range(5):
         u = gr.GridFunction(grid, rng.standard_normal((p.n, grid.nx, grid.nt)))
         flat = u.values.reshape(-1)
-        ku = op.apply_K(p, grid, u, matrix.caches)
+        ku = op.apply_K(p, grid, u, caches)
         want = flat - ku.values.reshape(-1)
         assert np.max(np.abs(matrix.A @ flat - want)) <= 1e-12
 
@@ -76,8 +78,59 @@ def test_assembled_matrix_realizes_operator(case, full_problem):
 def test_assembled_rhs_is_transported_forcing(manufactured_problem):
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(manufactured_problem, grid)
-    ff = op.apply_F(manufactured_problem, grid, matrix.caches)
+    ff = op.apply_F(manufactured_problem, grid, op.CurveCache(manufactured_problem, grid))
     assert np.array_equal(matrix.rhs, ff.values.reshape(-1))
+
+
+@pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
+@pytest.mark.parametrize(
+    "case", [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm"]
+)
+def test_assembled_cache_applies_what_the_walk_applies(case, shape, full_problem):
+    # after assembly the cache applies K and F from A and rhs; a fresh
+    # cache walks the parts
+    if case in problems.BUILTINS:
+        p = problems.get_builtin(case)
+    else:
+        p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
+    grid = gr.Grid(*shape)
+    matrix = fr.assemble(p, grid)
+    assert matrix.caches.row0 is matrix.row0 and matrix.caches.rhs is matrix.rhs
+    fresh = op.CurveCache(p, grid)
+    u = gr.GridFunction(grid, np.random.default_rng(3).standard_normal((p.n, grid.nx, grid.nt)))
+    got = op.apply_K(p, grid, u, matrix.caches).values
+    want = op.apply_K(p, grid, u, fresh).values
+    # Ku = u - Au cancels u's scale when K is small (pure-forcing has K = 0)
+    scale = max(np.max(np.abs(want)), np.max(np.abs(u.values)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    ff = op.apply_F(p, grid, matrix.caches)
+    assert np.array_equal(ff.values, op.apply_F(p, grid, fresh).values)
+    ff.values[:] = 0.0  # a copy: the assembled rhs stays as it was
+    assert np.array_equal(matrix.rhs, op.apply_F(p, grid, fresh).values.reshape(-1))
+
+
+def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_problem):
+    # the solve's residual applies K and F from the assembled A and rhs
+    walked = []
+    block_parts = op._block_parts
+
+    def counted(*args):
+        walked.append(args[3:])
+        return block_parts(*args)
+
+    monkeypatch.setattr(op, "_block_parts", counted)
+    grid = gr.Grid(9, 8)
+    matrix = fr.assemble(manufactured_problem, grid)
+    assert matrix.period == 1
+    assembled = len(walked)
+    assert assembled == manufactured_problem.n * grid.nx
+    report = fr.solve_alternative(matrix)
+    assert len(walked) == assembled
+    assert report.residual <= 1e-12
+    walked_residual = fr.residual(manufactured_problem, grid, report.solution)
+    assert len(walked) == 2 * assembled
+    scale = 1.0 + gr.sup_norm(report.solution)
+    assert abs(report.residual - walked_residual) <= 1e-13 * scale
 
 
 def test_assembly_is_deterministic(manufactured_problem):
@@ -467,9 +520,10 @@ def test_autonomous_problem_passes_the_dense_cap():
     # the steady block holds one kernel vector, each low frequency a pair
     assert report.kernel_dim % 2 == 1
     assert report.defect <= 1e-10
+    caches = op.CurveCache(p, grid)
     for vec in report.kernel_basis[:, :3].T:
         u = gr.GridFunction(grid, vec.reshape(p.n, grid.nx, grid.nt))
-        ku = op.apply_K(p, grid, u, matrix.caches).values
+        ku = op.apply_K(p, grid, u, caches).values
         assert np.linalg.norm(vec - ku.reshape(-1)) <= report.tau * 1.001
     with pytest.raises(fr.CapacityError):
         matrix.A
@@ -655,6 +709,13 @@ def test_convergence_of_shifted_forcing():
     rows = fr.convergence_study(p, [(9, 8), (17, 16), (33, 32)], exact=["sin(t)-sin(t-x)"])
     want = [7.487631605751499e-05, 1.939575990139719e-05, 4.857650146794512e-06]
     assert [row.value for row in rows] == pytest.approx(want, rel=1e-12)
+
+
+def test_convergence_sigma_branch_refuses_tau(resonant_problem):
+    # the sigma_min table does not read tau; it refuses one rather than
+    # print the same table
+    with pytest.raises(ValueError, match="tau"):
+        fr.convergence_study(resonant_problem, [(5, 4), (9, 8)], tau=1e-2)
 
 
 def test_convergence_rejects_non_refining_grids(transport_problem):
