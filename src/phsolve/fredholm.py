@@ -28,9 +28,10 @@ decision one pass handles every block by the values the decision saw of
 it: a block with none of them zero is solved, and only a block with a
 zero is decomposed by one SVD into real (numerical) kernel and cokernel
 bases, a truncated least-squares solution, and the solvability defect of
-the forcing.  The residual of that solution applies K and F from the
-assembled A and rhs, which assembly leaves in its curve cache, rather
-than walking the parts of K again (see `operators`).
+the forcing.  The residual of that solution reads K and F from the
+assembled A and rhs when A is the one block (period 1), rather than
+walking the parts of K again; for period nt it walks them with the
+matrix's curve cache (see `operators`).
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -181,9 +182,6 @@ def assemble(p, grid):
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
-    # the prepared operator: apply_K and apply_F on this cache read A and
-    # rhs instead of walking K and F again
-    caches.row0, caches.rhs = row0, rhs
     return OperatorMatrix(row0, rhs, grid, p, caches)
 
 
@@ -367,7 +365,7 @@ def solve_alternative(matrix, tau=None):
         defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
     p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
-    res = residual(p, grid, solution, caches=matrix.caches)
+    res = residual(p, grid, solution, matrix=matrix)
     return FredholmReport(
         sigma, float(tau), unique, kernel.shape[1], solution, res, defect, kernel, cokernel, matrix
     )
@@ -387,14 +385,22 @@ def _from_blocks(u_hat, period):
     return np.fft.irfft(np.array(u_hat).T, n=period, axis=-1)
 
 
-def residual(p, grid, u, caches=None):
+def residual(p, grid, u, matrix=None):
     """Sup norm of u - (Ku + Ff) over the grid nodes: how far u is from
     satisfying the integral form of the problem.  Raises ArithmeticError
-    when it is not finite, as when a curve's gain overflows."""
-    if caches is None:
-        caches = CurveCache(p, grid)
-    total = apply_K(p, grid, u, caches)
-    total.values += apply_F(p, grid, caches).values
+    when it is not finite, as when a curve's gain overflows.
+
+    Given the problem's assembled matrix on this grid, K and F are read
+    from its A and rhs when it has period 1 (Ku = u - Au), and otherwise
+    walked with its curve cache.  Without one they are walked afresh."""
+    if matrix is None:
+        caches, a, rhs = CurveCache(p, grid), None, None
+    elif matrix.period == 1:
+        caches, a, rhs = matrix.caches, matrix.row0, matrix.rhs
+    else:
+        caches, a, rhs = matrix.caches, None, None
+    total = apply_K(p, grid, u, caches, a=a)
+    total.values += apply_F(p, grid, caches, rhs=rhs).values
     value = sup_norm(GridFunction(grid, u.values - total.values))
     if not math.isfinite(value):
         raise ArithmeticError(f"residual is {value}: the operator overflows on this grid")

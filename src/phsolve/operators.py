@@ -22,18 +22,17 @@ flattened node indices cols[q, ...].  One pass over a block
 (_block_parts) fetches its curve once and yields the parts of all four
 pieces.  Forcing gives one constant per time node, also for period nt,
 where it is integrated along the shifted row-0 curves.  The parts have
-two uses.  stencil_block concatenates them into explicit weights, which
-assembly scatters into block-row 0 of A.  apply_K applies them to
-concrete grid values without storing K: with every row traced it
-contracts one part at a time; with row 0 alone it sums the block's row
-into one dense weight row and correlates it with u circularly in t
-through the rfft.
+two uses.  apply_K applies them to concrete grid values without storing
+K: with every row traced it contracts one part at a time; with row 0
+alone it sums the block's row into one dense weight row and correlates it
+with u circularly in t through the rfft.  stencil_block concatenates them
+into explicit weights, which assembly scatters into block-row 0 of A.
 
-Assembly leaves its block-row 0 of A = I - K and the forcing in the
-cache it traced with.  On such a cache apply_K and apply_F read them
-(Ku = u - Au, Ff = rhs) and walk no part again.  On a fresh cache they
-walk the parts: the residual of a candidate solution assembles nothing,
-so it also runs on grids past the dense cap.
+When the caller holds an assembled period-1 A = I - K and its forcing,
+it can hand them in: apply_K then reads Ku = u - Au and apply_F returns
+rhs, and no part is walked again.  Without them both walk the parts, so
+the residual of a candidate solution needs no assembly and also runs on
+grids past the dense cap.
 """
 
 from __future__ import annotations
@@ -108,10 +107,6 @@ class CurveCache:
         self.period = period(p, grid)
         self._curves = {}
         self._inner = {}
-        # block-row 0 of A = I - K and the forcing at every node, once
-        # assembly has filled them: the assembled matrix's own arrays
-        self.row0 = None
-        self.rhs = None
 
     def curve(self, j, i):
         got = self._curves.get((j, i))
@@ -292,21 +287,25 @@ def _forcing(p, grid, caches, j, i):
     return np.einsum("qs,qs->q", cw, fv)
 
 
-def apply_K(p, grid, u, caches=None):
+def apply_K(p, grid, u, caches=None, a=None):
     """K = R + B + G + H applied to u.
 
-    From a cache that assembly has filled, Ku = u - Au with A's stored
-    block-row 0 (see `_from_assembled`); K is not walked again.  Otherwise
-    the parts are walked one block at a time.  With every time node
-    traced (period 1), each part is contracted against u by a gather.
+    Given a, the assembled A = I - K of a period-1 grid, Ku = u - Au: one
+    product in scipy's BLAS on the F-ordered view a.T, and K is not walked.
+    Otherwise the parts are walked one block at a time.  With every time
+    node traced (period 1), each part is contracted against u by a gather.
     With row 0 alone (period nt), row q of a block is row 0 with its
     t-indices moved by q, so (Ku)_j(x_i, t_q) is sum_{c, r} W[c, r] u[c, r + q]
     for the block's row-0 weights W of shape (n * nx, nt): a circular
     correlation in t, which the rfft turns into one product per frequency,
     sum_c conj(W_hat[c]) u_hat[c]."""
+    if a is not None:
+        flat = u.values.reshape(-1)
+        if a.shape != (flat.size, flat.size):
+            raise ValueError(f"A has shape {a.shape}, not the whole matrix on {flat.size} nodes")
+        au = dgemv(1.0, a.T, flat, trans=1)
+        return GridFunction(grid, u.values - au.reshape(u.values.shape))
     caches = caches if caches is not None else CurveCache(p, grid)
-    if caches.row0 is not None:
-        return _from_assembled(caches, u)
     out = zeros(grid, p.n)
     nt = grid.nt
     if caches.period == 1:
@@ -322,43 +321,18 @@ def apply_K(p, grid, u, caches=None):
         for i in range(grid.nx):
             (cols,), (weights,) = _block_rows(p, grid, caches, j, i)
             row = np.bincount(cols, weights, minlength=u.values.size).reshape(-1, nt)
-            out_hat[j - 1, i] = _correlate(row, u_hat)
+            out_hat[j - 1, i] = np.einsum("ck,ck->k", np.fft.rfft(row, axis=-1).conj(), u_hat)
     out.values[:] = np.fft.irfft(out_hat, n=nt, axis=-1)
     return out
 
 
-def _correlate(row, u_hat):
-    """The rfft coefficients over t of sum_{c, r} row[c, r] u[c, r + q], for
-    one weight row of shape (n * nx, nt) and u_hat the rfft of u."""
-    return np.einsum("ck,ck->k", np.fft.rfft(row, axis=-1).conj(), u_hat)
-
-
-def _from_assembled(caches, u):
-    """Ku = u - Au from the block-row 0 of A that assembly stored in caches.
-    With period 1 it is all of A: one product, in scipy's BLAS, on the
-    F-ordered view row0.T.  With period nt each stored row is correlated
-    with u in t, as the walked rows are in apply_K, one row at a time."""
-    row0 = caches.row0
-    flat = u.values.reshape(-1)
-    if caches.period == 1:
-        au = dgemv(1.0, row0.T, flat, trans=1)
-    else:
-        nt = caches.period
-        u_hat = np.fft.rfft(flat.reshape(-1, nt), axis=-1)
-        au_hat = np.empty((row0.shape[0], u_hat.shape[1]), dtype=complex)
-        for m, row in enumerate(row0):
-            au_hat[m] = _correlate(row.reshape(-1, nt), u_hat)
-        au = np.fft.irfft(au_hat, n=nt, axis=-1)
-    return GridFunction(u.grid, u.values - au.reshape(u.values.shape))
-
-
-def apply_F(p, grid, caches=None):
+def apply_F(p, grid, caches=None, rhs=None):
     """Forcing integrated along the curve (the affine part of the fixed
-    point equation): a copy of the assembled forcing when caches holds
-    one, otherwise integrated block by block."""
+    point equation): a copy of rhs, the assembled forcing, when given;
+    otherwise integrated block by block."""
+    if rhs is not None:
+        return GridFunction(grid, rhs.reshape(p.n, grid.nx, grid.nt).copy())
     caches = caches if caches is not None else CurveCache(p, grid)
-    if caches.rhs is not None:
-        return GridFunction(grid, caches.rhs.reshape(p.n, grid.nx, grid.nt).copy())
     out = zeros(grid, p.n)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):

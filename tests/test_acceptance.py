@@ -228,6 +228,9 @@ def test_criterion_07_linear_algebra_consistency(resonant_problem, manufactured_
     assert worst <= 1e-12
     assert report.unique is True
     assert report.residual <= bound
+    # report.residual reads K back from A; the walked K on the solved u
+    # must meet the same bound
+    assert fr.residual(report.matrix.problem, report.matrix.grid, report.solution) <= bound
 
 
 def test_criterion_08_parser_suite():

@@ -64,7 +64,7 @@ def test_assembled_matrix_realizes_operator(case, full_problem):
         p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
     grid = gr.Grid(9, 8)
     matrix = fr.assemble(p, grid)
-    # a fresh cache walks K's parts; the assembled one would read A back
+    # a fresh cache traces its own curves, apart from the assembly's
     caches = op.CurveCache(p, grid)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -86,27 +86,34 @@ def test_assembled_rhs_is_transported_forcing(manufactured_problem):
 @pytest.mark.parametrize(
     "case", [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm"]
 )
-def test_assembled_cache_applies_what_the_walk_applies(case, shape, full_problem):
-    # after assembly the cache applies K and F from A and rhs; a fresh
-    # cache walks the parts
+def test_assembled_matrix_applies_what_the_walk_applies(case, shape, full_problem):
+    # handed a period-1 A and rhs, apply_K and apply_F read them back;
+    # the residual given the matrix matches a fresh walk for either period
     if case in problems.BUILTINS:
         p = problems.get_builtin(case)
     else:
         p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
     grid = gr.Grid(*shape)
     matrix = fr.assemble(p, grid)
-    assert matrix.caches.row0 is matrix.row0 and matrix.caches.rhs is matrix.rhs
     fresh = op.CurveCache(p, grid)
     u = gr.GridFunction(grid, np.random.default_rng(3).standard_normal((p.n, grid.nx, grid.nt)))
-    got = op.apply_K(p, grid, u, matrix.caches).values
-    want = op.apply_K(p, grid, u, fresh).values
+    want_k = op.apply_K(p, grid, u, fresh).values
+    want_f = op.apply_F(p, grid, fresh).values
     # Ku = u - Au cancels u's scale when K is small (pure-forcing has K = 0)
-    scale = max(np.max(np.abs(want)), np.max(np.abs(u.values)))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    ff = op.apply_F(p, grid, matrix.caches)
-    assert np.array_equal(ff.values, op.apply_F(p, grid, fresh).values)
-    ff.values[:] = 0.0  # a copy: the assembled rhs stays as it was
-    assert np.array_equal(matrix.rhs, op.apply_F(p, grid, fresh).values.reshape(-1))
+    scale = max(np.max(np.abs(want_k)), np.max(np.abs(u.values)))
+    if matrix.period == 1:
+        got_k = op.apply_K(p, grid, u, a=matrix.row0).values
+        assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
+        ff = op.apply_F(p, grid, rhs=matrix.rhs)
+        assert np.array_equal(ff.values, want_f)
+        ff.values[:] = 0.0  # a copy: the assembled rhs stays as it was
+        assert np.array_equal(matrix.rhs, want_f.reshape(-1))
+    else:
+        # block-row 0 alone is not A
+        with pytest.raises(ValueError, match="not the whole matrix"):
+            op.apply_K(p, grid, u, a=matrix.row0)
+    got = fr.residual(p, grid, u, matrix=matrix)
+    assert abs(got - fr.residual(p, grid, u)) <= 1e-12 * (scale + np.max(np.abs(want_f)))
 
 
 def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_problem):
@@ -220,6 +227,8 @@ def test_unique_solve_residual_scales(manufactured_problem):
     bound = 1e-10 * (1.0 + norm_a) * gr.sup_norm(report.solution)
     assert report.unique is True
     assert report.residual <= bound
+    # report.residual reads K back from A; the walked K must agree
+    assert fr.residual(manufactured_problem, grid, report.solution) <= bound
 
 
 def test_solver_accepts_prebuilt_matrix(transport_problem):
