@@ -272,8 +272,9 @@ def main(argv=None):
     # ArithmeticError: evaluation, tracing, time inversion and spectrum
     # failures; KeyError: a problem file without a required field; OSError:
     # a file that cannot be read or written; ValueError: invalid problem data
-    # or JSON, expressions that do not lex or parse, and grids past the cap
-    except (ArithmeticError, KeyError, OSError, ValueError) as err:
+    # or JSON, expressions that do not lex or parse, and grids past the cap;
+    # MemoryError: a grid under the cap whose arrays do not fit in memory
+    except (ArithmeticError, KeyError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -28,10 +28,9 @@ decision one pass handles every block by the values the decision saw of
 it: a block with none of them zero is solved, and only a block with a
 zero is decomposed by one SVD into real (numerical) kernel and cokernel
 bases, a truncated least-squares solution, and the solvability defect of
-the forcing.  The residual of that solution reads K and F from the
-assembled A and rhs when A is the one block (period 1), rather than
-walking the parts of K again; for period nt it walks them with the
-matrix's curve cache (see `operators`).
+the forcing.  The residual of that solution is sup|Au - rhs|, with Au
+taken block by block through the same rfft over t as the solve, so no
+part of K is walked after assembly.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -45,8 +44,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svd, svdvals
-from scipy.linalg.blas import dgemv
+from scipy.linalg import LinAlgWarning, get_blas_funcs, lu_factor, lu_solve, svd, svdvals
 
 from . import expr as ex
 from .grid import Grid, GridFunction, sample_exprs, sup_norm
@@ -68,25 +66,20 @@ class OperatorMatrix:
     """A = I - K with the discretized forcing, plus provenance.
 
     A is stored as its block-row 0, row0, of shape (N // period, N), where
-    period is `operators.period` of the problem, as its curve cache holds
-    it: with period nt row0 holds the rows (component, x-node) at t-node 0,
-    and row (m, q) of A is row m with every t-index moved by q; with
-    period 1, row0 is A.
+    period is `operators.period` of the problem: with period nt row0 holds
+    the rows (component, x-node) at t-node 0, and row (m, q) of A is row m
+    with every t-index moved by q; with period 1, row0 is A.
     """
 
     row0: np.ndarray
     rhs: np.ndarray
     grid: Grid
     problem: object
-    caches: CurveCache = field(repr=False)
+    period: int
 
     @property
     def size(self):
         return self.rhs.shape[0]
-
-    @property
-    def period(self):
-        return self.caches.period
 
     @functools.cached_property
     def A(self):
@@ -149,6 +142,7 @@ def assemble(p, grid):
     Each block (component j, x-node i) fills its rows of row0, all nt of
     them with period 1 and its t = 0 row with period nt: one bincount over
     the keys q * N + col sums the weights from stencil_block into place.
+    The forcing is apply_F's, on the same curves.
 
     The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
     with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
@@ -169,20 +163,19 @@ def assemble(p, grid):
         )
     rows = nt // period  # the traced rows of one block
     row0 = np.zeros((height, size))
-    rhs = np.zeros(size)
     row_keys = np.arange(rows)[:, None] * size
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            cols, weights, const = stencil_block(p, grid, caches, j, i)
+            cols, weights = stencil_block(p, grid, caches, j, i)
             block = (j - 1) * grid.nx + i
             # summing the negated weights gives -K bit for bit
             minus_k = np.bincount((row_keys + cols).ravel(), -weights.ravel(), minlength=rows * size)
             row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
-            rhs[block * nt : (block + 1) * nt] = const
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
-    return OperatorMatrix(row0, rhs, grid, p, caches)
+    rhs = apply_F(p, grid, caches).values.reshape(-1)
+    return OperatorMatrix(row0, rhs, grid, p, period)
 
 
 def factor(matrix):
@@ -241,15 +234,20 @@ def _largest_eigenvalue(size, matvec):
     return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
 
 
+def _product(a, v, transpose=False):
+    """a @ v, or a.T @ v, in scipy's BLAS, like the LU factors: numpy links
+    a separate OpenBLAS, and on 2 cores switching to it after lu_factor
+    doubled the Lanczos run.  A C-ordered a is handed over as its F-ordered
+    view a.T, which gemv takes uncopied; a Fourier block, a strided view
+    of the blocks' rfft, is copied."""
+    return get_blas_funcs("gemv", (a, v))(1.0, a.T, v, trans=0 if transpose else 1)
+
+
 def _edge_singular_values(a, lu):
     size = a.shape[0]
-    # the Gram products in scipy's BLAS, like the factors: numpy links a
-    # separate OpenBLAS, and on 2 cores switching to it after lu_factor
-    # doubled the Lanczos run; a.T is F-ordered, so dgemv takes it uncopied
-    at = a.T
 
     def gram(v):
-        return dgemv(1.0, at, dgemv(1.0, at, v, trans=1))
+        return _product(a, _product(a, v), transpose=True)
 
     sigma_max = math.sqrt(_largest_eigenvalue(size, gram))
     if np.any(np.diagonal(lu[0]) == 0.0):
@@ -390,18 +388,20 @@ def residual(p, grid, u, matrix=None):
     satisfying the integral form of the problem.  Raises ArithmeticError
     when it is not finite, as when a curve's gain overflows.
 
-    Given the problem's assembled matrix on this grid, K and F are read
-    from its A and rhs when it has period 1 (Ku = u - Au), and otherwise
-    walked with its curve cache.  Without one they are walked afresh."""
+    Given the problem's assembled matrix on this grid, it is sup|Au - rhs|,
+    with Au taken from `OperatorMatrix.blocks` block by block.  Without
+    one, K and F are walked afresh, which needs no assembly and runs on
+    grids past the dense cap."""
     if matrix is None:
-        caches, a, rhs = CurveCache(p, grid), None, None
-    elif matrix.period == 1:
-        caches, a, rhs = matrix.caches, matrix.row0, matrix.rhs
+        caches = CurveCache(p, grid)
+        total = apply_K(p, grid, u, caches)
+        total.values += apply_F(p, grid, caches).values
+        gap = u.values - total.values
     else:
-        caches, a, rhs = matrix.caches, None, None
-    total = apply_K(p, grid, u, caches, a=a)
-    total.values += apply_F(p, grid, caches, rhs=rhs).values
-    value = sup_norm(GridFunction(grid, u.values - total.values))
+        u_hat = _to_blocks(u.values.reshape(-1), matrix.period)
+        au = [_product(b, r) for b, r in zip(matrix.blocks[0], u_hat)]
+        gap = _from_blocks(au, matrix.period).reshape(-1) - matrix.rhs
+    value = float(np.max(np.abs(gap)))
     if not math.isfinite(value):
         raise ArithmeticError(f"residual is {value}: the operator overflows on this grid")
     return value

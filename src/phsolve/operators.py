@@ -20,18 +20,15 @@ weights in parts (cols, weights): equal-shaped arrays whose leading axis
 is the traced time-node row q, with weights[q, ...] acting on the
 flattened node indices cols[q, ...].  One pass over a block
 (_block_parts) fetches its curve once and yields the parts of all four
-pieces.  Forcing gives one constant per time node, also for period nt,
-where it is integrated along the shifted row-0 curves.  The parts have
-two uses.  apply_K applies them to concrete grid values without storing
-K: with every row traced it contracts one part at a time; with row 0
-alone it sums the block's row into one dense weight row and correlates it
-with u circularly in t through the rfft.  stencil_block concatenates them
-into explicit weights, which assembly scatters into block-row 0 of A.
-
-When the caller holds an assembled period-1 A = I - K and its forcing,
-it can hand them in: apply_K then reads Ku = u - Au and apply_F returns
-rhs, and no part is walked again.  Without them both walk the parts, so
-the residual of a candidate solution needs no assembly and also runs on
+pieces.  stencil_block concatenates them into explicit weights, which
+assembly scatters into block-row 0 of A.  apply_K applies them to
+concrete grid values without storing K: with every row traced it
+contracts one part at a time; with row 0 alone it sums the block's row
+into one dense weight row and correlates it with u circularly in t
+through the rfft.  apply_F integrates the forcing, one constant per time
+node, also for period nt, where it is integrated along the shifted row-0
+curves; assembly stores it as the right-hand side.  Neither needs an
+assembled matrix, so the residual of a candidate solution also runs on
 grids past the dense cap.
 """
 
@@ -41,11 +38,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
 
 from . import expr as ex
 from .characteristics import DEFAULT_SUBSTEPS, trace_arrays
-from .grid import GridFunction, cubic_t_stencil, locate_x, zeros
+from .grid import cubic_t_stencil, locate_x, zeros
 
 
 @dataclass
@@ -287,24 +283,14 @@ def _forcing(p, grid, caches, j, i):
     return np.einsum("qs,qs->q", cw, fv)
 
 
-def apply_K(p, grid, u, caches=None, a=None):
-    """K = R + B + G + H applied to u.
-
-    Given a, the assembled A = I - K of a period-1 grid, Ku = u - Au: one
-    product in scipy's BLAS on the F-ordered view a.T, and K is not walked.
-    Otherwise the parts are walked one block at a time.  With every time
-    node traced (period 1), each part is contracted against u by a gather.
-    With row 0 alone (period nt), row q of a block is row 0 with its
-    t-indices moved by q, so (Ku)_j(x_i, t_q) is sum_{c, r} W[c, r] u[c, r + q]
-    for the block's row-0 weights W of shape (n * nx, nt): a circular
-    correlation in t, which the rfft turns into one product per frequency,
-    sum_c conj(W_hat[c]) u_hat[c]."""
-    if a is not None:
-        flat = u.values.reshape(-1)
-        if a.shape != (flat.size, flat.size):
-            raise ValueError(f"A has shape {a.shape}, not the whole matrix on {flat.size} nodes")
-        au = dgemv(1.0, a.T, flat, trans=1)
-        return GridFunction(grid, u.values - au.reshape(u.values.shape))
+def apply_K(p, grid, u, caches=None):
+    """K = R + B + G + H applied to u, walking the parts one block at a
+    time.  With every time node traced (period 1), each part is contracted
+    against u by a gather.  With row 0 alone (period nt), row q of a block
+    is row 0 with its t-indices moved by q, so (Ku)_j(x_i, t_q) is
+    sum_{c, r} W[c, r] u[c, r + q] for the block's row-0 weights W of shape
+    (n * nx, nt): a circular correlation in t, which the rfft turns into one
+    product per frequency, sum_c conj(W_hat[c]) u_hat[c]."""
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
     nt = grid.nt
@@ -319,19 +305,16 @@ def apply_K(p, grid, u, caches=None, a=None):
     out_hat = np.zeros((p.n, grid.nx, u_hat.shape[1]), dtype=complex)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            (cols,), (weights,) = _block_rows(p, grid, caches, j, i)
+            (cols,), (weights,) = stencil_block(p, grid, caches, j, i)
             row = np.bincount(cols, weights, minlength=u.values.size).reshape(-1, nt)
             out_hat[j - 1, i] = np.einsum("ck,ck->k", np.fft.rfft(row, axis=-1).conj(), u_hat)
     out.values[:] = np.fft.irfft(out_hat, n=nt, axis=-1)
     return out
 
 
-def apply_F(p, grid, caches=None, rhs=None):
+def apply_F(p, grid, caches=None):
     """Forcing integrated along the curve (the affine part of the fixed
-    point equation): a copy of rhs, the assembled forcing, when given;
-    otherwise integrated block by block."""
-    if rhs is not None:
-        return GridFunction(grid, rhs.reshape(p.n, grid.nx, grid.nt).copy())
+    point equation), block by block."""
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
     for j in range(1, p.n + 1):
@@ -340,9 +323,16 @@ def apply_F(p, grid, caches=None, rhs=None):
     return out
 
 
-def _block_rows(p, grid, caches, j, i):
-    """The parts of block (j, i) concatenated into (cols, weights) of shape
-    (rows, M), rows being the traced time nodes."""
+def stencil_block(p, grid, caches, j, i):
+    """The traced time-node rows of the linear map u -> (Ku)_j(x_i, .) as
+    weights on flattened node indices.
+
+    Returns (cols, weights) of shape (rows, M), the parts of the block
+    concatenated, with row q holding the terms of (Ku)_j(x_i, t_q); a
+    column may repeat within a row, and its weights add.  rows is nt, or 1
+    when the period is nt: row q is then row 0 with its t-indices moved
+    by q.
+    """
     rows = grid.nt // caches.period
     cols = [np.zeros((rows, 0), dtype=np.int64)]
     weights = [np.zeros((rows, 0))]
@@ -350,17 +340,3 @@ def _block_rows(p, grid, caches, j, i):
         cols.append(c.reshape(rows, -1))
         weights.append(w.reshape(rows, -1))
     return np.concatenate(cols, axis=1), np.concatenate(weights, axis=1)
-
-
-def stencil_block(p, grid, caches, j, i):
-    """The traced time-node rows of the linear map u -> (Ku)_j(x_i, .) as
-    weights on flattened node indices, plus the forcing constants of every
-    time node.
-
-    Returns (cols, weights, const): cols and weights have shape (rows, M)
-    with row q holding the terms of (Ku)_j(x_i, t_q); a column may repeat
-    within a row, and its weights add.  rows is nt, or 1 when the period
-    is nt: row q is then row 0 with its t-indices moved by q.  const has
-    shape (nt,).
-    """
-    return *_block_rows(p, grid, caches, j, i), _forcing(p, grid, caches, j, i)

@@ -1,8 +1,11 @@
 import csv
 import importlib
 import json
+import os
 import runpy
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -253,6 +256,36 @@ def test_capacity_error_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# caps the address space, then runs the command line in argv[1:]
+_UNDER_MEMORY_CAP = """
+import resource, sys
+cap = 3 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from phsolve.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_one(tmp_path):
+    # the residual command has no dense cap: sampling a 20001 x 20000
+    # candidate asks for 6.4 GB, which a 3 GiB address space refuses
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        "residual", "--builtin", "example13", "--nx", "20001", "--nt", "20000",
+        "--exact", "0,0", "--out", str(tmp_path),
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "residual.json").exists()
 
 
 def test_residual_without_exact_exits_one(tmp_path, capsys):

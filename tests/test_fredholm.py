@@ -75,69 +75,84 @@ def test_assembled_matrix_realizes_operator(case, full_problem):
         assert np.max(np.abs(matrix.A @ flat - want)) <= 1e-12
 
 
-def test_assembled_rhs_is_transported_forcing(manufactured_problem):
+def test_assembled_rhs_is_transported_forcing(manufactured_problem, full_problem):
+    # pure-forcing and t-free-volterra are autonomous: their forcing is
+    # integrated along the shifted row-0 curves
     grid = gr.Grid(9, 8)
-    matrix = fr.assemble(manufactured_problem, grid)
-    ff = op.apply_F(manufactured_problem, grid, op.CurveCache(manufactured_problem, grid))
-    assert np.array_equal(matrix.rhs, ff.values.reshape(-1))
+    for p in (
+        manufactured_problem,
+        full_problem,
+        problems.pure_forcing(),
+        autonomous_case("t-free-volterra"),
+    ):
+        matrix = fr.assemble(p, grid)
+        ff = op.apply_F(p, grid, op.CurveCache(p, grid))
+        assert np.array_equal(matrix.rhs, ff.values.reshape(-1))
 
 
 @pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
 @pytest.mark.parametrize(
-    "case", [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm"]
+    "case",
+    [
+        *problems.BUILTINS,
+        "all-pieces-volterra",
+        "all-pieces-fredholm",
+        "t-free-volterra",
+        "t-free-fredholm",
+    ],
 )
 def test_assembled_matrix_applies_what_the_walk_applies(case, shape, full_problem):
-    # handed a period-1 A and rhs, apply_K and apply_F read them back;
-    # the residual given the matrix matches a fresh walk for either period
-    if case in problems.BUILTINS:
-        p = problems.get_builtin(case)
-    else:
+    # given the matrix, the residual is sup|Au - rhs| from its blocks, for
+    # either period; a fresh walk of K and F gives the same value
+    if case.startswith("all-pieces"):
         p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
+    else:
+        p = autonomous_case(case)
     grid = gr.Grid(*shape)
     matrix = fr.assemble(p, grid)
-    fresh = op.CurveCache(p, grid)
-    u = gr.GridFunction(grid, np.random.default_rng(3).standard_normal((p.n, grid.nx, grid.nt)))
-    want_k = op.apply_K(p, grid, u, fresh).values
-    want_f = op.apply_F(p, grid, fresh).values
-    # Ku = u - Au cancels u's scale when K is small (pure-forcing has K = 0)
-    scale = max(np.max(np.abs(want_k)), np.max(np.abs(u.values)))
-    if matrix.period == 1:
-        got_k = op.apply_K(p, grid, u, a=matrix.row0).values
-        assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
-        ff = op.apply_F(p, grid, rhs=matrix.rhs)
-        assert np.array_equal(ff.values, want_f)
-        ff.values[:] = 0.0  # a copy: the assembled rhs stays as it was
-        assert np.array_equal(matrix.rhs, want_f.reshape(-1))
-    else:
-        # block-row 0 alone is not A
-        with pytest.raises(ValueError, match="not the whole matrix"):
-            op.apply_K(p, grid, u, a=matrix.row0)
-    got = fr.residual(p, grid, u, matrix=matrix)
-    assert abs(got - fr.residual(p, grid, u)) <= 1e-12 * (scale + np.max(np.abs(want_f)))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u = gr.GridFunction(grid, rng.standard_normal((p.n, grid.nx, grid.nt)))
+        want = fr.residual(p, grid, u)
+        assert abs(fr.residual(p, grid, u, matrix=matrix) - want) <= 1e-12 * want
+
+
+def forced_example13():
+    data = pb.to_dict(problems.example13())
+    data["f"] = ["sin(t)", "cos(x)"]
+    return pb.from_dict(data)
 
 
 def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_problem):
-    # the solve's residual applies K and F from the assembled A and rhs
+    # the solve's residual applies A from its blocks and reads rhs; neither
+    # K nor F is walked again, for period 1 (manufactured) or nt
     walked = []
-    block_parts = op._block_parts
+    for name in ("_block_parts", "_forcing"):
+        walk = getattr(op, name)
 
-    def counted(*args):
-        walked.append(args[3:])
-        return block_parts(*args)
+        def counted(*args, walk=walk):
+            walked.append(args[3:])
+            return walk(*args)
 
-    monkeypatch.setattr(op, "_block_parts", counted)
+        monkeypatch.setattr(op, name, counted)
     grid = gr.Grid(9, 8)
-    matrix = fr.assemble(manufactured_problem, grid)
-    assert matrix.period == 1
-    assembled = len(walked)
-    assert assembled == manufactured_problem.n * grid.nx
-    report = fr.solve_alternative(matrix)
-    assert len(walked) == assembled
-    assert report.residual <= 1e-12
-    walked_residual = fr.residual(manufactured_problem, grid, report.solution)
-    assert len(walked) == 2 * assembled
-    scale = 1.0 + gr.sup_norm(report.solution)
-    assert abs(report.residual - walked_residual) <= 1e-13 * scale
+    for p, period in (
+        (manufactured_problem, 1),
+        (problems.pure_forcing(), grid.nt),
+        (forced_example13(), grid.nt),
+    ):
+        walked.clear()
+        matrix = fr.assemble(p, grid)
+        assert matrix.period == period
+        assembled = len(walked)
+        assert assembled == 2 * p.n * grid.nx
+        report = fr.solve_alternative(matrix)
+        assert len(walked) == assembled
+        assert report.residual <= 1e-12
+        walked_residual = fr.residual(p, grid, report.solution)
+        assert len(walked) == 2 * assembled
+        scale = 1.0 + gr.sup_norm(report.solution)
+        assert abs(report.residual - walked_residual) <= 1e-13 * scale
 
 
 def test_assembly_is_deterministic(manufactured_problem):
@@ -229,6 +244,21 @@ def test_unique_solve_residual_scales(manufactured_problem):
     assert report.residual <= bound
     # report.residual reads K back from A; the walked K must agree
     assert fr.residual(manufactured_problem, grid, report.solution) <= bound
+
+
+@pytest.mark.parametrize("case", ["pure-forcing", "t-free-volterra"])
+def test_autonomous_unique_solve_residual_scales(case):
+    # an autonomous report.residual is the block solves' backward error;
+    # the walked K and F on the solved u must meet the same bound
+    p = autonomous_case(case)
+    grid = gr.Grid(17, 16)
+    report = fr.solve_alternative(fr.assemble(p, grid))
+    assert report.matrix.period == grid.nt
+    norm_a = np.max(np.sum(np.abs(report.matrix.A), axis=1))
+    bound = 1e-10 * (1.0 + norm_a) * gr.sup_norm(report.solution)
+    assert report.unique is True
+    assert report.residual <= bound
+    assert fr.residual(p, grid, report.solution) <= bound
 
 
 def test_solver_accepts_prebuilt_matrix(transport_problem):
@@ -509,7 +539,7 @@ def test_autonomous_apply_is_row0_moved_in_t(case, shape):
     want = np.empty_like(got)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            (cols,), (weights,), _ = op.stencil_block(p, grid, caches, j, i)
+            (cols,), (weights,) = op.stencil_block(p, grid, caches, j, i)
             for q in range(nt):
                 want[j - 1, i, q] = weights @ flat[cols - cols % nt + (cols + q) % nt]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

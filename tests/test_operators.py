@@ -278,9 +278,8 @@ def test_stencil_empty_for_zero_problem():
     p = build()
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(p, grid)
-    cols, weights, const = op.stencil_block(p, grid, caches, 1, 4)
+    cols, weights = op.stencil_block(p, grid, caches, 1, 4)
     assert cols.shape == weights.shape == (1, 0)
-    assert const.shape == (grid.nt,) and const[3] == 0.0
 
 
 def test_stencil_matches_apply_on_random_functions(full_problem):
@@ -293,24 +292,16 @@ def test_stencil_matches_apply_on_random_functions(full_problem):
         flat = u.values.reshape(-1)
         ku = op.apply_K(full_problem, grid, u, caches)
         for j, i, q in nodes:
-            cols, weights, _ = blocks[(j, i)]
+            cols, weights = blocks[(j, i)]
             want = ku.values[j - 1, i, q]
             got = weights[q] @ flat[cols[q]]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_stencil_constant_carries_forcing(full_problem):
-    grid = gr.Grid(9, 8)
-    caches = op.CurveCache(full_problem, grid)
-    ff = op.apply_F(full_problem, grid, caches)
-    _, _, const = op.stencil_block(full_problem, grid, caches, 2, 6)
-    assert const[1] == pytest.approx(ff.values[1, 6, 1], abs=1e-13)
-
-
 def test_stencil_indices_are_valid_and_unique(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
-    cols, weights, _ = op.stencil_block(full_problem, grid, caches, 1, 5)
+    cols, weights = op.stencil_block(full_problem, grid, caches, 1, 5)
     assert cols[2].size > 0
     assert np.all(cols[2] >= 0) and np.all(cols[2] < 2 * grid.nx * grid.nt)
     assert np.all(np.isfinite(weights[2]))
