@@ -22,7 +22,6 @@ it with a single position.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -123,30 +122,23 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     lg = np.zeros(om.shape)
     if with_gain:
         logc[rows] = 0.0
+    # a constant speed that passed the anchors' check passes every stage's:
+    # every slope of every step is the anchors' 1 / a1
     speed = p.speeds[j - 1]
-    if ex.mentions(speed, "x") or ex.mentions(speed, "t"):
-        speed_at = functools.partial(_speed_at, p, j)
-    else:
-        # a constant speed that passed the anchors' check passes every
-        # stage's: it is evaluated once, and every stage reads that value
-        value = a1.flat[0]
-
-        def speed_at(_xi, om, _sign):
-            return np.broadcast_to(value, om.shape)
-
-    for s in range(steps[0]):
-        a = int(np.count_nonzero(steps > s))
+    varying = ex.mentions(speed, "x") or ex.mentions(speed, "t")
+    # stepping[s]: the positions that take step s, a prefix since the steps
+    # are in descending order
+    stepping = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
+    for s, a in enumerate(stepping.tolist()):
         om, lg, a1, sign, hh = om[:a], lg[:a], a1[:a], sign[:a], hs[:a]
         x0 = xi_all[first[:a] + s][:, None]
         x1 = xi_all[first[:a] + s + 1][:, None]
         xm = x0 + 0.5 * hh
-        k1 = 1.0 / a1
-        a2 = speed_at(xm, om + 0.5 * hh * k1, sign)
-        k2 = 1.0 / a2
-        a3 = speed_at(xm, om + 0.5 * hh * k2, sign)
-        k3 = 1.0 / a3
-        a4 = speed_at(x1, om + hh * k3, sign)
-        k4 = 1.0 / a4
+        k1 = k2 = k3 = k4 = 1.0 / a1
+        if varying:
+            k2 = 1.0 / _speed_at(p, j, xm, om + 0.5 * hh * k1, sign)
+            k3 = 1.0 / _speed_at(p, j, xm, om + 0.5 * hh * k2, sign)
+            k4 = 1.0 / _speed_at(p, j, x1, om + hh * k3, sign)
         if with_gain:
             l1 = ex.evaluate(diag, x0, om) * k1
             l2 = ex.evaluate(diag, xm, om + 0.5 * hh * k1) * k2
@@ -154,8 +146,9 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
             l4 = ex.evaluate(diag, x1, om + hh * k3) * k4
             lg = lg + (hh / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         om = om + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # first stage of the next step, or the speed at the end sample
-        a1 = speed_at(x1, om, sign)
+        if varying:
+            # first stage of the next step, or the speed at the end sample
+            a1 = _speed_at(p, j, x1, om, sign)
         at = rows[:a] + (s + 1)
         times[at] = om
         avals[at] = a1

@@ -91,7 +91,10 @@ def _outdir(args):
 def _parse_exact(arg, n):
     if arg is None:
         return None
-    parts = [s.strip() for s in arg.split(",") if s.strip()]
+    parts = [s.strip() for s in arg.split(",")]
+    for position, part in enumerate(parts, start=1):
+        if not part:
+            raise ValidationError(f"--exact entry {position} of {len(parts)} is empty")
     if len(parts) != n:
         raise ValidationError(
             f"--exact needs {n} comma-separated expressions, got {len(parts)}"

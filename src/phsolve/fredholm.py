@@ -141,8 +141,9 @@ def assemble(p, grid):
 
     Each block (component j, x-node i) fills its rows of row0, all nt of
     them with period 1 and its t = 0 row with period nt: one bincount over
-    the keys q * N + col sums the weights from stencil_block into place.
-    The forcing is apply_F's, on the same curves.
+    the keys q * N + col sums the weights from stencil_block, which
+    computes them a run of x-nodes at a time, into place.  The forcing is
+    apply_F's, on the same curves.
 
     The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
     with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
@@ -165,12 +166,13 @@ def assemble(p, grid):
     row0 = np.zeros((height, size))
     row_keys = np.arange(rows)[:, None] * size
     for j in range(1, p.n + 1):
-        for i in range(grid.nx):
-            cols, weights = stencil_block(p, grid, caches, j, i)
-            block = (j - 1) * grid.nx + i
-            # summing the negated weights gives -K bit for bit
-            minus_k = np.bincount((row_keys + cols).ravel(), -weights.ravel(), minlength=rows * size)
-            row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
+        for nodes in caches.runs(j):
+            for i, (cols, weights) in zip(nodes, stencil_block(p, grid, caches, j, nodes)):
+                block = (j - 1) * grid.nx + i
+                # summing the negated weights gives -K bit for bit
+                keys = (row_keys + cols).ravel()
+                minus_k = np.bincount(keys, -weights.ravel(), minlength=rows * size)
+                row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0

@@ -303,6 +303,20 @@ def test_exact_arity_mismatch_exits_one(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, exact, position",
+    [("residual", "0,,0", 2), ("converge", ",0,0,", 1), ("converge", "0,0,", 3)],
+)
+def test_exact_empty_entry_exits_one(tmp_path, capsys, command, exact, position):
+    # n = 2: dropping the empty entries would leave two expressions
+    argv = [command, "--builtin", "example13", "--nx", "5", "--nt", "4", "--exact", exact]
+    code = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"entry {position} " in err[0]
+
+
 def test_usage_error_exits_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve"])  # neither --problem nor --builtin

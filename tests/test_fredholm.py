@@ -124,35 +124,48 @@ def forced_example13():
 
 
 def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_problem):
-    # the solve's residual applies A from its blocks and reads rhs; neither
-    # K nor F is walked again, for period 1 (manufactured) or nt
+    # assembly walks each component's x-nodes once for K and once for F,
+    # in runs that tile them; the solve's residual applies A from its
+    # blocks and reads rhs, so neither is walked again, for period 1
+    # (manufactured) or nt.  A limit of 64 samples cuts every component
+    # into several runs
     walked = []
-    for name in ("_block_parts", "_forcing"):
+    for name in ("_run_parts", "_run_forcing"):
         walk = getattr(op, name)
 
-        def counted(*args, walk=walk):
-            walked.append(args[3:])
-            return walk(*args)
+        def counted(p, grid, caches, j, nodes, walk=walk, name=name):
+            walked.append((name, j, tuple(nodes)))
+            return walk(p, grid, caches, j, nodes)
 
         monkeypatch.setattr(op, name, counted)
+
+    def assert_tiled(calls, p, grid):
+        for name in ("_run_parts", "_run_forcing"):
+            for j in range(1, p.n + 1):
+                runs = [nodes for walk, c, nodes in calls if (walk, c) == (name, j)]
+                assert sum(runs, ()) == tuple(range(grid.nx))
+
     grid = gr.Grid(9, 8)
-    for p, period in (
-        (manufactured_problem, 1),
-        (problems.pure_forcing(), grid.nt),
-        (forced_example13(), grid.nt),
-    ):
-        walked.clear()
-        matrix = fr.assemble(p, grid)
-        assert matrix.period == period
-        assembled = len(walked)
-        assert assembled == 2 * p.n * grid.nx
-        report = fr.solve_alternative(matrix)
-        assert len(walked) == assembled
-        assert report.residual <= 1e-12
-        walked_residual = fr.residual(p, grid, report.solution)
-        assert len(walked) == 2 * assembled
-        scale = 1.0 + gr.sup_norm(report.solution)
-        assert abs(report.residual - walked_residual) <= 1e-13 * scale
+    for limit in (op.RUN_SAMPLES, 64):
+        monkeypatch.setattr(op, "RUN_SAMPLES", limit)
+        for p, period in (
+            (manufactured_problem, 1),
+            (problems.pure_forcing(), grid.nt),
+            (forced_example13(), grid.nt),
+        ):
+            walked.clear()
+            matrix = fr.assemble(p, grid)
+            assert matrix.period == period
+            assembled = list(walked)
+            assert_tiled(assembled, p, grid)
+            assert (len(assembled) > 2 * p.n) is (limit == 64)
+            report = fr.solve_alternative(matrix)
+            assert walked == assembled
+            assert report.residual <= 1e-12
+            walked_residual = fr.residual(p, grid, report.solution)
+            assert_tiled(walked[len(assembled) :], p, grid)
+            scale = 1.0 + gr.sup_norm(report.solution)
+            assert abs(report.residual - walked_residual) <= 1e-13 * scale
 
 
 def test_assembly_is_deterministic(manufactured_problem):
@@ -539,12 +552,93 @@ def test_autonomous_apply_is_row0_moved_in_t(case, shape):
     want = np.empty_like(got)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            (cols,), (weights,) = op.stencil_block(p, grid, caches, j, i)
+            (((cols,), (weights,)),) = op.stencil_block(p, grid, caches, j, range(i, i + 1))
             for q in range(nt):
                 want[j - 1, i, q] = weights @ flat[cols - cols % nt + (cols + q) % nt]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     traced = op.apply_K(traced_twin(p), grid, u).values
     assert np.max(np.abs(got - traced)) <= 1e-12 * np.max(np.abs(traced))
+
+
+RUN_CASES = [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm", "t-free-fredholm"]
+
+
+def run_case(case, full_problem):
+    if case.startswith("all-pieces"):
+        return dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
+    return autonomous_case(case)
+
+
+def one_node_runs(p, grid, caches, j):
+    return [op.stencil_block(p, grid, caches, j, range(i, i + 1))[0] for i in range(grid.nx)]
+
+
+@pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_run_stencils_are_one_node_stencils(case, shape, full_problem):
+    # a block's stencil is its slice of the run's quadrature: the same
+    # columns and weights, in the same order, whichever run holds it.  The
+    # runs tried are the cache's own, the whole component, and a cut after
+    # node 2, which leaves the node on its own boundary side, whose curve
+    # is a single point, inside a run
+    p = run_case(case, full_problem)
+    grid = gr.Grid(*shape)
+    caches = op.CurveCache(p, grid)
+    for j in range(1, p.n + 1):
+        alone = one_node_runs(p, grid, caches, j)
+        cuts = [caches.runs(j), [range(grid.nx)], [range(3), range(3, grid.nx)]]
+        for runs in cuts:
+            assert [i for nodes in runs for i in nodes] == list(range(grid.nx))
+            for nodes in runs:
+                got = op.stencil_block(p, grid, caches, j, nodes)
+                assert len(got) == len(nodes)
+                for i, (cols, weights) in zip(nodes, got):
+                    assert np.array_equal(cols, alone[i][0])
+                    assert np.array_equal(weights, alone[i][1])
+
+
+@pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_assembly_does_not_depend_on_run_length(case, shape, full_problem, monkeypatch):
+    # row0 and rhs from one-node runs and from one run per component are
+    # those of the default runs, bit for bit
+    p = run_case(case, full_problem)
+    grid = gr.Grid(*shape)
+    matrix = fr.assemble(p, grid)
+    for limit, count in ((0, grid.nx), (10**9, 1)):
+        monkeypatch.setattr(op, "RUN_SAMPLES", limit)
+        caches = op.CurveCache(p, grid)
+        assert all(len(caches.runs(j)) == count for j in range(1, p.n + 1))
+        other = fr.assemble(p, grid)
+        assert np.array_equal(other.row0, matrix.row0)
+        assert np.array_equal(other.rhs, matrix.rhs)
+
+
+@pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
+@pytest.mark.parametrize("case", AUTONOMOUS)
+def test_autonomous_apply_matches_dense_rows(case, shape):
+    # apply_K transforms only the rows a block reads; the reference sums
+    # each block's row 0 into a dense row over all n * nx rows and
+    # correlates every one of them with u.  The t-free problems have R
+    # live, so component 1's node 0, whose curve is a single point, still
+    # reads u
+    p = autonomous_case(case)
+    grid = gr.Grid(*shape)
+    nt = grid.nt
+    caches = op.CurveCache(p, grid)
+    assert caches.period == nt
+    u = gr.GridFunction(grid, np.random.default_rng(8).standard_normal((p.n, grid.nx, nt)))
+    u_hat = np.fft.rfft(u.values.reshape(-1, nt), axis=-1)
+    want_hat = np.zeros((p.n, grid.nx, u_hat.shape[1]), dtype=complex)
+    for j in range(1, p.n + 1):
+        for i, ((cols,), (weights,)) in enumerate(one_node_runs(p, grid, caches, j)):
+            row = np.bincount(cols, weights, minlength=u.values.size).reshape(-1, nt)
+            want_hat[j - 1, i] = np.einsum("ck,ck->k", np.fft.rfft(row, axis=-1).conj(), u_hat)
+    want = np.fft.irfft(want_hat, n=nt, axis=-1)
+    assert np.array_equal(op.apply_K(p, grid, u, caches).values, want)
+    if case.startswith("t-free"):
+        assert len(caches.curve(1, 0).xi) == 1
+        assert np.any(want[0, 0] != 0.0)
 
 
 def test_autonomous_problem_passes_the_dense_cap():
