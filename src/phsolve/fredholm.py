@@ -25,12 +25,16 @@ LU factors of A by two Lanczos runs.  A value at or below tau counts
 as zero, and tau is never below N * eps * sigma_max, numpy's
 `matrix_rank` tolerance, under which a value is round-off.  After the
 decision one pass handles every block by the values the decision saw of
-it: a block with none of them zero is solved, and only a block with a
-zero is decomposed by one SVD into real (numerical) kernel and cokernel
-bases, a truncated least-squares solution, and the solvability defect of
-the forcing.  The residual of that solution is sup|Au - rhs|, with Au
-taken block by block through the same rfft over t as the solve, so no
-part of K is walked after assembly.
+it: a block with none of them zero is solved through its LU factors
+(`OperatorMatrix.factors`), and only a block with a zero is decomposed
+by one SVD into real (numerical) kernel and cokernel bases, a truncated
+least-squares solution, and the solvability defect of the forcing.  The
+residual of that solution is sup|Au - rhs|, with Au taken block by
+block through the same rfft over t as the solve, so no part of K is
+walked after assembly.  From the LU onwards each dense product and
+solve is one scipy call per block (`apply`, `solve`, `_gemv`): numpy
+links a separate OpenBLAS, and switching to it between scipy calls left
+each library's threads spinning on the cores the other needed.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -76,6 +80,8 @@ class OperatorMatrix:
     grid: Grid
     problem: object
     period: int
+    # the LU factors of blocks, by index in `blocks`: see `factor`
+    factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self):
@@ -143,12 +149,13 @@ def assemble(p, grid):
     them with period 1 and its t = 0 row with period nt: one bincount over
     the keys q * N + col sums the weights from stencil_block, which
     computes them a run of x-nodes at a time, into place.  The forcing is
-    apply_F's, on the same curves.
+    apply_F's, on each run's curves as built for stencil_block.
 
     The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
     with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
     blocks derived from it, three times over, since a block that
-    `solve_alternative` decomposes keeps two SVD factors.
+    `solve_alternative` solves keeps its LU factors, and one that it
+    decomposes two SVD factors.
     """
     caches = CurveCache(p, grid)
     nt, period = grid.nt, caches.period
@@ -165,46 +172,53 @@ def assemble(p, grid):
     rows = nt // period  # the traced rows of one block
     row0 = np.zeros((height, size))
     row_keys = np.arange(rows)[:, None] * size
+    rhs = np.empty((p.n, grid.nx, nt))
     for j in range(1, p.n + 1):
         for nodes in caches.runs(j):
-            for i, (cols, weights) in zip(nodes, stencil_block(p, grid, caches, j, nodes)):
+            run = caches.run_curve(j, nodes)
+            for i, (cols, weights) in zip(nodes, stencil_block(p, grid, caches, j, nodes, run)):
                 block = (j - 1) * grid.nx + i
                 # summing the negated weights gives -K bit for bit
                 keys = (row_keys + cols).ravel()
                 minus_k = np.bincount(keys, -weights.ravel(), minlength=rows * size)
                 row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
+            rhs[j - 1, nodes.start : nodes.stop] = apply_F(p, grid, caches, run)
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
-    rhs = apply_F(p, grid, caches).values.reshape(-1)
-    return OperatorMatrix(row0, rhs, grid, p, period)
+    return OperatorMatrix(row0, rhs.reshape(-1), grid, p, period)
 
 
-def factor(matrix):
-    """LU factors of A, for singular_spectrum and lu_solve.
+def factor(matrix, k=0):
+    """LU factors of block k of A (see `OperatorMatrix.blocks`; with period
+    1, A itself), for singular_spectrum and solve: scipy's lu_factor,
+    taken on first use and kept in `OperatorMatrix.factors`.
 
-    An exactly singular A leaves a zero on the diagonal of U, which
+    An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
     pivot is silenced here.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(matrix.A)
+    lu = matrix.factors.get(k)
+    if lu is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu = matrix.factors[k] = lu_factor(matrix.blocks[0][k])
+    return lu
 
 
 def singular_spectrum(matrix, lu=None):
     """Singular values of A, descending.
 
     Without `lu`: all N values, pooled from the blocks of A (see
-    `OperatorMatrix.block_sigma`).  With the LU factors of A (see `factor`):
-    only the edges [sigma_max, sigma_min], each from one implicitly
-    restarted Lanczos run for the largest eigenvalue, of A^T A through
-    dense products and of (A^T A)^-1 = A^-1 A^-T through the factors.  A zero pivot gives
-    sigma_min = 0 without a run.
+    `OperatorMatrix.block_sigma`).  With the LU factors of a one-block A
+    (see `factor`): only the edges [sigma_max, sigma_min], each from one
+    implicitly restarted Lanczos run for the largest eigenvalue, of A^T A
+    and of (A^T A)^-1 = A^-1 A^-T, through `apply` and `solve`.  A zero
+    pivot gives sigma_min = 0 without a run.
     """
     try:
         if lu is not None:
-            return _edge_singular_values(matrix.A, lu)
+            return _edge_singular_values(matrix, lu)
         return _pooled(matrix.block_sigma, matrix.blocks[1])
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
@@ -216,11 +230,10 @@ def _pooled(per_block, multiplicity):
 
 
 def _decide(matrix):
-    """The spectrum the alternative reads, with the LU factors of A when
-    A is its own one block: then the edges, from the factors; otherwise
-    every value, pooled from the Fourier blocks, and A is not factored."""
-    lu = factor(matrix) if matrix.period == 1 else None
-    return singular_spectrum(matrix, lu), lu
+    """The spectrum the alternative reads: when A is its own one block,
+    the edges, from its LU factors; otherwise every value, pooled from
+    the Fourier blocks, and A is not factored."""
+    return singular_spectrum(matrix, factor(matrix) if matrix.period == 1 else None)
 
 
 def _largest_eigenvalue(size, matvec):
@@ -236,28 +249,52 @@ def _largest_eigenvalue(size, matvec):
     return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
 
 
-def _product(a, v, transpose=False):
-    """a @ v, or a.T @ v, in scipy's BLAS, like the LU factors: numpy links
-    a separate OpenBLAS, and on 2 cores switching to it after lu_factor
-    doubled the Lanczos run.  A C-ordered a is handed over as its F-ordered
-    view a.T, which gemv takes uncopied; a Fourier block, a strided view
-    of the blocks' rfft, is copied."""
-    return get_blas_funcs("gemv", (a, v))(1.0, a.T, v, trans=0 if transpose else 1)
+def _gemv(a, v, trans=0):
+    """op(a) @ v in scipy's BLAS, with op the identity (trans 0), the
+    transpose (1) or the conjugate transpose (2).  gemv reads a in Fortran
+    order: an a not so ordered is handed over as its view a.T, which for a
+    C-ordered a is not copied, unless a complex a is conjugated.  BLAS
+    refuses an operand with no entries, so its product is made here."""
+    if a.size == 0:
+        return np.zeros(a.shape[1 if trans else 0], np.result_type(a, v))
+    gemv = get_blas_funcs("gemv", (a, v))
+    if not a.flags.f_contiguous and (trans < 2 or not np.iscomplexobj(a)):
+        return gemv(1.0, a.T, v, trans=1 - min(trans, 1))
+    return gemv(1.0, a, v, trans=trans)
 
 
-def _edge_singular_values(a, lu):
-    size = a.shape[0]
+def apply(matrix, u, transpose=False):
+    """A u, or A^T u, for a flat grid vector u: one gemv per block of A
+    (see `OperatorMatrix.blocks`) on u's rfft coefficients over the
+    period.  A real A's transpose acts on them through each block's
+    conjugate transpose."""
+    period, trans = matrix.period, 2 if transpose else 0
+    u_hat = _to_blocks(u, period)
+    return _from_blocks([_gemv(b, r, trans) for b, r in zip(matrix.blocks[0], u_hat)], period)
+
+
+def solve(matrix, rhs, transpose=False):
+    """A^-1 rhs, or A^-T rhs, for a flat grid vector rhs: one lu_solve per
+    block of A on rhs's rfft coefficients over the period, through the
+    block's LU factors (see `factor`), as `apply` takes its products."""
+    period, trans = matrix.period, 2 if transpose else 0
+    rhs_hat = _to_blocks(rhs, period)
+    u_hat = [lu_solve(factor(matrix, k), r, trans=trans) for k, r in enumerate(rhs_hat)]
+    return _from_blocks(u_hat, period)
+
+
+def _edge_singular_values(matrix, lu):
+    size = matrix.size
 
     def gram(v):
-        return _product(a, _product(a, v), transpose=True)
+        return apply(matrix, apply(matrix, v), transpose=True)
 
     sigma_max = math.sqrt(_largest_eigenvalue(size, gram))
     if np.any(np.diagonal(lu[0]) == 0.0):
         return np.array([sigma_max, 0.0])
 
     def inverse_gram(v):
-        w = lu_solve(lu, v, trans=1, check_finite=False)
-        return lu_solve(lu, w, check_finite=False)
+        return solve(matrix, solve(matrix, v, transpose=True))
 
     sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(size, inverse_gram))
     return np.array([sigma_max, sigma_min])
@@ -301,48 +338,46 @@ def solve_alternative(matrix, tau=None):
 
     Each block (see `OperatorMatrix.blocks`) is judged by the values the
     decision saw of it, and works on the rfft coefficients of rhs over
-    the period.  A block with none of them zero is solved: by the LU
-    factors for the one block, directly for a Fourier block.  A block
-    with a zero takes one SVD, whose values replace those the decision
-    saw; it gives up at least its smallest pair, since the decision saw
-    that one at or below tau.  A is unique when no block is decomposed.
-    A complex singular pair (v, w) of a block that occurs twice, spread
-    over t as v exp(2 pi i k r / nt) / sqrt(nt), gives two real ones, its
-    real and imaginary parts scaled by sqrt(2); a real block gives one.
+    the period.  A block with none of them zero is solved through its LU
+    factors (see `factor`), which the one block shares with the decision.
+    A block with a zero takes one SVD, whose values replace those the
+    decision saw; it gives up at least its smallest pair, since the
+    decision saw that one at or below tau.  A is unique when no block is
+    decomposed.  A complex singular pair (v, w) of a block that occurs
+    twice, spread over t as v exp(2 pi i k r / nt) / sqrt(nt), gives two
+    real ones, its real and imaginary parts scaled by sqrt(2); a real
+    block gives one.
     """
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
-    sigma, lu = _decide(matrix)
+    sigma = _decide(matrix)
     floor = matrix.size * np.finfo(float).eps * float(sigma[0])
     tau = default_tolerance(sigma, matrix.size) if tau is None else max(tau, floor)
     blocks, multiplicity = matrix.blocks
+    period = matrix.period
     # the values the decision saw: the one block's edges, or every value
-    # of each Fourier block
-    seen = [sigma] if lu is not None else matrix.block_sigma
+    # of each Fourier block; a decomposed block's SVD replaces them
+    seen = [sigma] if period == 1 else list(matrix.block_sigma)
     zero = [s[-1] <= tau for s in seen]
     unique = not any(zero)
-    if not unique:
-        lu = None  # an N x N copy the SVD of a one-block A can use
-    try:
-        # all SVDs before any product: numpy and scipy link separate BLAS
-        # libraries, and alternating them keeps both thread pools spinning
-        # for the other's cores
-        factors = [svd(b) if z else None for b, z in zip(blocks, zero)]
-    except Exception as err:
-        raise SpectrumError(f"decomposition failed: {err}") from err
-    period = matrix.period
     rhs_hat = _to_blocks(matrix.rhs, period)
     u_hat, kernel, cokernel, order = [], [], [], []
-    for k, (b, f, mult) in enumerate(zip(blocks, factors, multiplicity)):
-        if f is None:
-            r = rhs_hat[k]
-            u_hat.append(np.linalg.solve(b, r) if lu is None else lu_solve(lu, r))
+    for k, (b, z, mult) in enumerate(zip(blocks, zero, multiplicity)):
+        r = rhs_hat[k]
+        if not z:
+            u_hat.append(lu_solve(factor(matrix, k), r))
             continue
-        left, s, right_h = f
+        # the LU of a one-block A is an N x N copy its SVD can use
+        matrix.factors.pop(k, None)
+        try:
+            left, s, right_h = svd(b)
+        except Exception as err:
+            raise SpectrumError(f"decomposition failed: {err}") from err
+        seen[k] = s
         keep = s > tau
         keep[-1] = False  # the decision saw this one at or below tau
-        coeffs = (left[:, keep].conj().T @ rhs_hat[k]) / s[keep]
-        u_hat.append(right_h[keep].conj().T @ coeffs)
+        coeffs = _gemv(left[:, keep], r, 2) / s[keep]
+        u_hat.append(_gemv(right_h[keep], coeffs, 2))
         wave = np.exp(2j * np.pi * k * np.arange(period) / period) / math.sqrt(period)
         if mult == 1:
             wave = wave.real
@@ -361,8 +396,8 @@ def solve_alternative(matrix, tau=None):
     if unique:
         sigma, defect = sigma[[0, -1]], None
     else:
-        sigma = _pooled([s if f is None else f[1] for s, f in zip(seen, factors)], multiplicity)
-        defect = float(np.linalg.norm(cokernel.T @ matrix.rhs))
+        sigma = _pooled(seen, multiplicity)
+        defect = float(np.linalg.norm(_gemv(cokernel, matrix.rhs, 1)))
     p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
     res = residual(p, grid, solution, matrix=matrix)
@@ -382,7 +417,7 @@ def _from_blocks(u_hat, period):
     """The real flat grid vector with rfft coefficients u_hat over t."""
     if period == 1:
         return u_hat[0]
-    return np.fft.irfft(np.array(u_hat).T, n=period, axis=-1)
+    return np.fft.irfft(np.array(u_hat).T, n=period, axis=-1).reshape(-1)
 
 
 def residual(p, grid, u, matrix=None):
@@ -391,18 +426,15 @@ def residual(p, grid, u, matrix=None):
     when it is not finite, as when a curve's gain overflows.
 
     Given the problem's assembled matrix on this grid, it is sup|Au - rhs|,
-    with Au taken from `OperatorMatrix.blocks` block by block.  Without
-    one, K and F are walked afresh, which needs no assembly and runs on
-    grids past the dense cap."""
+    with Au from `apply`.  Without one, K and F are walked afresh, which
+    needs no assembly and runs on grids past the dense cap."""
     if matrix is None:
         caches = CurveCache(p, grid)
         total = apply_K(p, grid, u, caches)
         total.values += apply_F(p, grid, caches).values
         gap = u.values - total.values
     else:
-        u_hat = _to_blocks(u.values.reshape(-1), matrix.period)
-        au = [_product(b, r) for b, r in zip(matrix.blocks[0], u_hat)]
-        gap = _from_blocks(au, matrix.period).reshape(-1) - matrix.rhs
+        gap = apply(matrix, u.values.reshape(-1)) - matrix.rhs
     value = float(np.max(np.abs(gap)))
     if not math.isfinite(value):
         raise ArithmeticError(f"residual is {value}: the operator overflows on this grid")
@@ -507,7 +539,7 @@ def convergence_study(p, grids, exact=None, tau=None):
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            value = float(_decide(matrix)[0][-1])
+            value = float(_decide(matrix)[-1])
             exact_level = False
         order = None
         note = ""

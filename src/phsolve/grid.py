@@ -12,6 +12,8 @@ cell and the offset in it) and a periodic four-node cubic in t
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +50,14 @@ class Grid:
     @property
     def dt(self):
         return TWO_PI / self.nt
+
+    @functools.cached_property
+    def csv_places(self):
+        """The fields "i,q,x,t," of each node's `dump_csv` row, in flat
+        order; formatted once per grid, since the kernel command writes a
+        file per basis vector."""
+        ts = list(enumerate(self.ts.tolist()))
+        return [f"{i},{q},{x!r},{t!r}," for i, x in enumerate(self.xs.tolist()) for q, t in ts]
 
 
 @dataclass
@@ -138,9 +148,10 @@ def sup_norm(g):
 
 def dump_csv(g, path):
     """Write rows (j,i,q,x,t,value) in flat order with a header line."""
-    ts = list(enumerate(g.grid.ts.tolist()))
-    places = [f"{i},{q},{x!r},{t!r}," for i, x in enumerate(g.grid.xs.tolist()) for q, t in ts]
+    places = g.grid.csv_places
     with open(path, "w") as fh:
         fh.write("j,i,q,x,t,value\n")
         for j, values in enumerate(g.values.reshape(g.n, -1).tolist(), start=1):
-            fh.writelines(f"{j},{place}{v!r}\n" for place, v in zip(places, values))
+            rows = zip(itertools.repeat(f"{j},"), places, map(repr, values))
+            fh.write("\n".join(map("".join, rows)))
+            fh.write("\n")

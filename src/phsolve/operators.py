@@ -16,8 +16,9 @@ node.
 
 The quadrature of each piece of K = R + B + G + H is written once, over
 a run of consecutive x-nodes of one component (CurveCache.runs): the
-run's curve samples are concatenated, so the x- and t-stencils and each
-coefficient take one evaluation for the whole run.  One pass over a run
+run's curve samples are concatenated (CurveCache.run_curve, a RunCurve
+held only while its run is processed), so the x- and t-stencils and
+each coefficient take one evaluation for the whole run.  One pass over a run
 (_run_parts) yields the weights of all four pieces on the run's blocks
 (component j, x-node i) in parts (cols, weights, bounds): equal-shaped
 arrays whose leading axis is the traced time-node row q, with
@@ -33,7 +34,8 @@ columns out of the parts and concatenates them into explicit weights,
 which assembly scatters into block-row 0 of A.  apply_F integrates the
 forcing over the same runs, one constant per time node, also for period
 nt, where it is integrated along the shifted row-0 curves; assembly
-stores it as the right-hand side.  Neither needs an assembled matrix, so
+stores it as the right-hand side, integrating K and F along each run's
+curves as it builds them.  Neither needs an assembled matrix, so
 the residual of a candidate solution also runs on grids past the dense
 cap.
 """
@@ -155,6 +157,26 @@ class CurveCache:
         out.append(range(start, nx))
         return out
 
+    def run_curve(self, j, nodes):
+        """The RunCurve of the run nodes of component j (see `runs`), built
+        afresh on each call: its caller holds it only while it processes
+        the run, and hands it to every quadrature along the run."""
+        curves = [self.curve(j, i) for i in nodes]
+        along = [cur for cur in curves if len(cur.xi) >= 2]
+        sizes = [len(cur.xi) if len(cur.xi) >= 2 else 0 for cur in curves]
+        # the empty leading arrays give a run of single-point curves no samples
+        empty = np.empty((self.grid.nt // self.period, 0))
+        trap = np.concatenate([empty[0], *(cur.trap for cur in along)])
+        return RunCurve(
+            j,
+            nodes,
+            curves,
+            np.cumsum([0, *sizes]),
+            np.concatenate([empty[0], *(cur.xi for cur in along)]),
+            np.concatenate([empty, *(cur.times for cur in along)], axis=1),
+            trap[None, :] * np.concatenate([empty, *(cur.weight for cur in along)], axis=1),
+        )
+
     def inner_weights(self, j, i):
         """Weights W[s, p] realizing the inner spatial integral at each
         curve sample s from x-grid values: over [0, xi_s] in the Volterra
@@ -187,31 +209,21 @@ class CurveCache:
 
 @dataclass
 class RunCurve:
-    """The curves of a run's blocks, concatenated for quadrature along
-    them.  Samples bounds[b]:bounds[b + 1] belong to the run's b-th block;
-    xi has shape (S,) and times and cw, the signed trapezoid weight times
-    the integrating factor, (rows, S).  A single-point curve (the node lies
-    on its own boundary side) has no samples here: every integral along it
+    """The curves of a run's blocks, (component j, x-node i) for i in
+    nodes, concatenated for quadrature along them.  Samples
+    bounds[b]:bounds[b + 1] belong to the run's b-th block; xi has shape
+    (S,) and times and cw, the signed trapezoid weight times the
+    integrating factor, (rows, S).  A single-point curve (the node lies on
+    its own boundary side) has no samples here: every integral along it
     vanishes."""
 
+    j: int
+    nodes: range
+    curves: list  # the BlockCurve of each node
     bounds: np.ndarray
     xi: np.ndarray
     times: np.ndarray
     cw: np.ndarray
-
-
-def _run_curve(curves):
-    along = [cur for cur in curves if len(cur.xi) >= 2]
-    if not along:
-        return None
-    sizes = [len(cur.xi) if len(cur.xi) >= 2 else 0 for cur in curves]
-    trap = np.concatenate([cur.trap for cur in along])
-    return RunCurve(
-        np.cumsum([0, *sizes]),
-        np.concatenate([cur.xi for cur in along]),
-        np.concatenate([cur.times for cur in along], axis=1),
-        trap[None, :] * np.concatenate([cur.weight for cur in along], axis=1),
-    )
 
 
 def _boundary_column(p, grid, k):
@@ -325,34 +337,30 @@ def _g_parts(p, grid, caches, j, nodes, run, t_stencil):
             yield (k - 1) * nx * nt + cols, weights.reshape(rows, -1), own
 
 
-def _run_parts(p, grid, caches, j, nodes):
-    """The parts of K on the blocks (j, i), i in the run nodes, in the
-    order R, B, H, G in which assembly sums a matrix entry's terms.  B, H
-    and G share the run's quadrature weights and the cubic t-stencil of
-    its samples, computed on first use and kept only while the run is
+def _run_parts(p, grid, caches, run):
+    """The parts of K on the blocks of a run (see `RunCurve`), in the order
+    R, B, H, G in which assembly sums a matrix entry's terms.  B, H and G
+    share the run's quadrature weights and the cubic t-stencil of its
+    samples, computed on first use and kept only while the run is
     processed."""
-    curves = [caches.curve(j, i) for i in nodes]
-    yield from _r_parts(p, grid, j, curves)
-    run = _run_curve(curves)
-    if run is None:
+    j = run.j
+    yield from _r_parts(p, grid, j, run.curves)
+    if not len(run.xi):
         return
     t_stencil = functools.cache(lambda: cubic_t_stencil(grid, run.times))
     yield from _b_parts(p, grid, j, run, t_stencil)
     yield from _h_parts(p, grid, j, run, t_stencil)
-    yield from _g_parts(p, grid, caches, j, nodes, run, t_stencil)
+    yield from _g_parts(p, grid, caches, j, run.nodes, run, t_stencil)
 
 
-def _run_forcing(p, grid, caches, j, nodes):
-    """F on the blocks (j, i), i in the run nodes: the forcing integrated
-    along each curve, one constant per time node; shape (len(nodes), nt).
-    With only row 0 traced, the curve of time node q is row 0's moved by
-    t_q, with the same weights."""
-    out = np.zeros((len(nodes), grid.nt))
-    fj = p.forcing[j - 1]
-    if ex.is_zero(fj):
-        return out
-    run = _run_curve([caches.curve(j, i) for i in nodes])
-    if run is None:
+def _run_forcing(p, grid, caches, run):
+    """F on the blocks of a run (see `RunCurve`): the forcing integrated
+    along each curve, one constant per time node; shape (len(run.nodes),
+    nt).  With only row 0 traced, the curve of time node q is row 0's
+    moved by t_q, with the same weights."""
+    out = np.zeros((len(run.nodes), grid.nt))
+    fj = p.forcing[run.j - 1]
+    if ex.is_zero(fj) or not len(run.xi):
         return out
     times = run.times
     if caches.period != 1:
@@ -382,7 +390,8 @@ def apply_K(p, grid, u, caches=None):
         flat = u.values.reshape(-1)
         for j in range(1, p.n + 1):
             for nodes in caches.runs(j):
-                for cols, weights, bounds in _run_parts(p, grid, caches, j, nodes):
+                run = caches.run_curve(j, nodes)
+                for cols, weights, bounds in _run_parts(p, grid, caches, run):
                     terms = weights * flat[cols]
                     for i, lo, hi in zip(nodes, bounds[:-1], bounds[1:]):
                         if lo < hi:
@@ -406,21 +415,28 @@ def apply_K(p, grid, u, caches=None):
     return out
 
 
-def apply_F(p, grid, caches=None):
+def apply_F(p, grid, caches=None, run=None):
     """Forcing integrated along the curve (the affine part of the fixed
-    point equation), one run of blocks at a time."""
+    point equation), one run of blocks at a time.  Given one run's curves
+    (see `CurveCache.run_curve`), only on that run's blocks, an array of
+    shape (len(run.nodes), nt): assembly integrates K and F along a run's
+    curves as it builds them."""
     caches = caches if caches is not None else CurveCache(p, grid)
+    if run is not None:
+        return _run_forcing(p, grid, caches, run)
     out = zeros(grid, p.n)
     for j in range(1, p.n + 1):
         for nodes in caches.runs(j):
-            out.values[j - 1, nodes.start : nodes.stop] = _run_forcing(p, grid, caches, j, nodes)
+            run = caches.run_curve(j, nodes)
+            out.values[j - 1, nodes.start : nodes.stop] = _run_forcing(p, grid, caches, run)
     return out
 
 
-def stencil_block(p, grid, caches, j, nodes):
+def stencil_block(p, grid, caches, j, nodes, run=None):
     """The traced time-node rows of the linear maps u -> (Ku)_j(x_i, .),
     for each x-node i of the run nodes (see CurveCache.runs), as weights on
-    flattened node indices.
+    flattened node indices.  run is the run's curves, from
+    CurveCache.run_curve(j, nodes), which are built here when not given.
 
     Returns one (cols, weights) per node, each of shape (rows, M): the
     block's columns of the run's parts, concatenated part by part, with
@@ -429,7 +445,9 @@ def stencil_block(p, grid, caches, j, nodes):
     is nt: row q is then row 0 with its t-indices moved by q.
     """
     rows = grid.nt // caches.period
-    parts = list(_run_parts(p, grid, caches, j, nodes))
+    if run is None:
+        run = caches.run_curve(j, nodes)
+    parts = list(_run_parts(p, grid, caches, run))
     out = []
     for b in range(len(nodes)):
         cols = [np.zeros((rows, 0), dtype=np.int64)]

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, subspace_angles, svd, svdvals
+from scipy.linalg import LinAlgWarning, lu_factor, subspace_angles, svd, svdvals
 
 from phsolve import expr as ex
 from phsolve import fredholm as fr
@@ -123,6 +123,29 @@ def forced_example13():
     return pb.from_dict(data)
 
 
+def test_assembly_concatenates_each_run_of_curves_once(monkeypatch, manufactured_problem):
+    # K and F are integrated along one RunCurve per run, built when the run
+    # is reached and dropped with it
+    built = []
+    run_curve = op.CurveCache.run_curve
+
+    def counted(caches, j, nodes):
+        built.append((j, tuple(nodes)))
+        return run_curve(caches, j, nodes)
+
+    monkeypatch.setattr(op.CurveCache, "run_curve", counted)
+    grid = gr.Grid(9, 8)
+    for limit in (op.RUN_SAMPLES, 64):
+        monkeypatch.setattr(op, "RUN_SAMPLES", limit)
+        for p in (manufactured_problem, problems.pure_forcing(), forced_example13()):
+            built.clear()
+            fr.assemble(p, grid)
+            caches = op.CurveCache(p, grid)
+            runs = [(j, tuple(nodes)) for j in range(1, p.n + 1) for nodes in caches.runs(j)]
+            assert built == runs
+            assert (len(runs) > p.n) is (limit == 64)
+
+
 def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_problem):
     # assembly walks each component's x-nodes once for K and once for F,
     # in runs that tile them; the solve's residual applies A from its
@@ -133,9 +156,9 @@ def test_solve_walks_no_block_of_an_assembled_matrix(monkeypatch, manufactured_p
     for name in ("_run_parts", "_run_forcing"):
         walk = getattr(op, name)
 
-        def counted(p, grid, caches, j, nodes, walk=walk, name=name):
-            walked.append((name, j, tuple(nodes)))
-            return walk(p, grid, caches, j, nodes)
+        def counted(p, grid, caches, run, walk=walk, name=name):
+            walked.append((name, run.j, tuple(run.nodes)))
+            return walk(p, grid, caches, run)
 
         monkeypatch.setattr(op, name, counted)
 
@@ -517,6 +540,59 @@ def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
         assert report.defect == pytest.approx(want_defect, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(13, 11), (17, 16)])
+@pytest.mark.parametrize("case", [*problems.BUILTINS, "t-free-volterra"])
+def test_apply_and_solve_match_dense_A(case, shape):
+    # each case on both periods: an autonomous one through its Fourier
+    # blocks and its traced twin as one block, a t-dependent one as itself
+    grid = gr.Grid(*shape)
+    p = autonomous_case(case)
+    rng = np.random.default_rng(7)
+    periods = set()
+    for q in (p, traced_twin(p)):
+        matrix = fr.assemble(q, grid)
+        periods.add(matrix.period)
+        a = matrix.A
+        inverse = np.linalg.inv(a)
+        v = rng.standard_normal(matrix.size)
+        for transpose, op_a, op_inv in ((False, a, inverse), (True, a.T, inverse.T)):
+            for got, want in (
+                (fr.apply(matrix, v, transpose=transpose), op_a @ v),
+                (fr.solve(matrix, v, transpose=transpose), op_inv @ v),
+            ):
+                assert got.shape == want.shape and got.dtype == np.float64
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert periods == ({1, grid.nt} if case in AUTONOMOUS else {1})
+
+
+@pytest.mark.parametrize("trans", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gemv_takes_operands_with_no_entries(trans, dtype):
+    # a decomposed block that keeps no singular pair multiplies by a
+    # factor with no columns, and then by one with no rows
+    rng = np.random.default_rng(1)
+    for shape in ((5, 0), (0, 5), (5, 3)):
+        a = rng.standard_normal(shape).astype(dtype)
+        a_op = (a, a.T, a.conj().T)[trans]
+        v = rng.standard_normal(a_op.shape[1]) + 1j
+        np.testing.assert_allclose(fr._gemv(a, v, trans), a_op @ v, rtol=1e-14)
+        np.testing.assert_allclose(fr._gemv(np.asfortranarray(a), v, trans), a_op @ v, rtol=1e-14)
+
+
+@pytest.mark.parametrize("tau", [None, 1e-2])
+def test_alternative_leaves_numpy_linear_algebra_alone(monkeypatch, tau):
+    # from the LU onwards the alternative's solves and decompositions are
+    # scipy's, in the one BLAS library scipy links
+    def refuse(*_args, **_kwargs):
+        pytest.fail("numpy's linear algebra was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for case in problems.BUILTINS:
+        report = fr.solve_alternative(fr.assemble(problems.get_builtin(case), gr.Grid(13, 11)), tau)
+        assert report.unique is (report.kernel_dim == 0)
+
+
 @pytest.mark.parametrize("shape", [(33, 32), (13, 11)])
 @pytest.mark.parametrize("case", AUTONOMOUS)
 def test_autonomous_matrix_is_block_circulant(case, shape):
@@ -673,12 +749,26 @@ def _refuse_lu(*_args, **_kwargs):
     raise FactoredA
 
 
+def _refuse_lu_of_A(matrix):
+    # the LU of A itself, N x N, is refused; a Fourier block's, M x M, is
+    # taken for the block's solve
+    def lu_of_a_block(a, *args, **kwargs):
+        if len(a) == matrix.size:
+            raise FactoredA
+        return lu_factor(a, *args, **kwargs)
+
+    return lu_of_a_block
+
+
 def test_autonomous_problems_never_factor_A(monkeypatch):
-    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
     grid = gr.Grid(9, 8)
     for case in AUTONOMOUS:
         for tau in (None, 1e-2):
-            fr.solve_alternative(fr.assemble(autonomous_case(case), grid), tau=tau)
+            matrix = fr.assemble(autonomous_case(case), grid)
+            monkeypatch.setattr(fr, "lu_factor", _refuse_lu_of_A(matrix))
+            fr.solve_alternative(matrix, tau=tau)
+    # the sigma_min table decides each grid and factors nothing
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
     rows = fr.convergence_study(problems.example13(), [(5, 4), (9, 8)])
     assert rows[1].value < rows[0].value
 
@@ -720,13 +810,13 @@ def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, e
         target = target[i]
     target[last] = entry
     p = pb.from_dict(data)
-    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
-    grid = gr.Grid(9, 8)
+    matrix = fr.assemble(p, gr.Grid(9, 8))
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu_of_A(matrix))
     if dense:
         with pytest.raises(FactoredA):
-            fr.solve_alternative(fr.assemble(p, grid))
+            fr.solve_alternative(matrix)
     else:
-        assert fr.solve_alternative(fr.assemble(p, grid)).unique is True
+        assert fr.solve_alternative(matrix).unique is True
 
 
 # --- residual ---------------------------------------------------------------

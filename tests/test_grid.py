@@ -155,6 +155,33 @@ def test_dump_csv_writes_each_value_by_its_repr(tmp_path):
     assert data.endswith(b"\n2,2,3,1.0,4.71238898038469,0.1\n")
 
 
+def _row_by_row_csv(g):
+    # the reference writer: one f-string per row, formatted afresh per file
+    ts = list(enumerate(g.grid.ts.tolist()))
+    places = [f"{i},{q},{x!r},{t!r}," for i, x in enumerate(g.grid.xs.tolist()) for q, t in ts]
+    lines = ["j,i,q,x,t,value\n"]
+    for j, values in enumerate(g.values.reshape(g.n, -1).tolist(), start=1):
+        lines.extend(f"{j},{place}{v!r}\n" for place, v in zip(places, values))
+    return "".join(lines).encode()
+
+
+def test_dump_csv_matches_the_row_by_row_writer_on_an_odd_grid(tmp_path):
+    # files of one and of three components on one grid of odd nx and nt
+    # share its formatted node fields
+    grid = gr.Grid(7, 5)
+    rng = np.random.default_rng(3)
+    special = [-0.0, 1e-300, 1.0 / 3.0, -1e300, 5e-324, 0.1]
+    for n in (1, 3, 1):
+        values = rng.standard_normal((n, grid.nx, grid.nt)) * 10.0 ** rng.integers(-20, 20)
+        values.flat[: len(special)] = special
+        g = gr.GridFunction(grid, values)
+        path = tmp_path / f"u{n}.csv"
+        gr.dump_csv(g, path)
+        assert path.read_bytes() == _row_by_row_csv(g)
+    assert b"\n1,0,0,0.0,0.0,-0.0\n" in path.read_bytes()
+    assert grid.csv_places is grid.csv_places
+
+
 def test_dump_csv_round_trips_values(tmp_path):
     g = make_gf(5, 4, fns=(lambda x, t: np.sin(x) * np.cos(t), lambda x, t: x + 0.0 * t))
     path = tmp_path / "solution.csv"
