@@ -126,6 +126,10 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
     # every slope of every step is the anchors' 1 / a1
     speed = p.speeds[j - 1]
     varying = ex.mentions(speed, "x") or ex.mentions(speed, "t")
+    # a constant diagonal coupling is evaluated once, at the anchors, where
+    # a value that is not finite raises as at any stage
+    constant = with_gain and not (ex.mentions(diag, "x") or ex.mentions(diag, "t"))
+    coupling = ex.evaluate(diag, xs[order][:, None], om) if constant else None
     # stepping[s]: the positions that take step s, a prefix since the steps
     # are in descending order
     stepping = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
@@ -140,10 +144,14 @@ def trace_arrays(p, j, x, t, xi_end, cells, substeps):
             k3 = 1.0 / _speed_at(p, j, xm, om + 0.5 * hh * k2, sign)
             k4 = 1.0 / _speed_at(p, j, x1, om + hh * k3, sign)
         if with_gain:
-            l1 = ex.evaluate(diag, x0, om) * k1
-            l2 = ex.evaluate(diag, xm, om + 0.5 * hh * k1) * k2
-            l3 = ex.evaluate(diag, xm, om + 0.5 * hh * k2) * k3
-            l4 = ex.evaluate(diag, x1, om + hh * k3) * k4
+            if coupling is None:
+                l1 = ex.evaluate(diag, x0, om) * k1
+                l2 = ex.evaluate(diag, xm, om + 0.5 * hh * k1) * k2
+                l3 = ex.evaluate(diag, xm, om + 0.5 * hh * k2) * k3
+                l4 = ex.evaluate(diag, x1, om + hh * k3) * k4
+            else:
+                coupling = coupling[:a]
+                l1, l2, l3, l4 = coupling * k1, coupling * k2, coupling * k3, coupling * k4
             lg = lg + (hh / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         om = om + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if varying:

@@ -1,11 +1,11 @@
-"""Dense discretization of the fixed-point system and its diagnostics.
+"""Discretization of the fixed-point system and its diagnostics.
 
 The periodic problem is equivalent to u = Ku + Ff with K the sum of the
-four integral operators; collocating on the grid nodes gives a dense
-linear system A u = rhs with A = I - K.  The decision reads sigma_min
-against a threshold tau: a clearly positive smallest singular value
-means the discrete problem is uniquely solvable, while singular values
-at discretization scale signal resonance.
+four integral operators; collocating on the grid nodes gives a linear
+system A u = rhs with A = I - K.  The decision reads sigma_min against
+a threshold tau: a clearly positive smallest singular value means the
+discrete problem is uniquely solvable, while singular values at
+discretization scale signal resonance.
 
 The alternative runs over the diagonal blocks of A in a DFT over t.
 When no speed or coefficient of K mentions t (the forcing may), K
@@ -14,27 +14,29 @@ the DFT splits it into nt blocks of size n * nx, conjugate in pairs.
 Any other A is its own one block.  Assembly stores only block-row 0 of
 A, the rows at t-node 0, which is all of A in the one-block case and
 1 / nt of it otherwise, so an autonomous problem can pass the size at
-which the whole of A would no longer fit.  `OperatorMatrix.blocks`
-derives the blocks from it once per assembled matrix, and
-`OperatorMatrix.block_sigma` their singular values, for the decision
-and the branch alike; A itself is expanded only when read.  The
-nt // 2 + 1 distinct Fourier blocks are decided from their pooled
-singular values; the one block from the two edges of its spectrum,
-sigma_min and sigma_max (which scales the default tau), taken from the
-LU factors of A by two Lanczos runs.  A value at or below tau counts
-as zero, and tau is never below N * eps * sigma_max, numpy's
+which the whole of A would no longer fit; it is held sparse (CSR), as
+A is a few percent nonzero.  `OperatorMatrix.blocks` derives the blocks
+from it once per assembled matrix, and `OperatorMatrix.block_sigma`
+their singular values, for the decision and the branch alike; A itself
+is expanded only when read.  The nt // 2 + 1 distinct Fourier blocks
+are decided from their pooled singular values; the one block from
+sigma_max (which scales the default tau) and sigma_min, by two Lanczos
+runs: on A scattered dense, then on the LU factors that overwrite it,
+which are from then on the one dense N x N held.  A value at or below
+tau counts as zero, and tau is never below N * eps * sigma_max, numpy's
 `matrix_rank` tolerance, under which a value is round-off.  After the
 decision one pass handles every block by the values the decision saw of
 it: a block with none of them zero is solved through its LU factors
 (`OperatorMatrix.factors`), and only a block with a zero is decomposed
 by one SVD into real (numerical) kernel and cokernel bases, a truncated
 least-squares solution, and the solvability defect of the forcing.  The
-residual of that solution is sup|Au - rhs|, with Au taken block by
-block through the same rfft over t as the solve, so no part of K is
-walked after assembly.  From the LU onwards each dense product and
-solve is one scipy call per block (`apply`, `solve`, `_gemv`): numpy
-links a separate OpenBLAS, and switching to it between scipy calls left
-each library's threads spinning on the cores the other needed.
+residual of that solution is sup|Au - rhs|, with Au the one block's
+sparse product, or taken block by block through the same rfft over t
+as the solve, so no part of K is walked after assembly.  From the LU
+onwards each product and solve is one scipy call per block (`apply`,
+`solve`, `_gemv`): numpy links a separate OpenBLAS, and switching to it
+between scipy calls left each library's threads spinning on the cores
+the other needed.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -69,13 +71,14 @@ class SpectrumError(ArithmeticError):
 class OperatorMatrix:
     """A = I - K with the discretized forcing, plus provenance.
 
-    A is stored as its block-row 0, row0, of shape (N // period, N), where
-    period is `operators.period` of the problem: with period nt row0 holds
-    the rows (component, x-node) at t-node 0, and row (m, q) of A is row m
-    with every t-index moved by q; with period 1, row0 is A.
+    A is stored as its block-row 0, row0, a scipy CSR array of shape
+    (N // period, N), where period is `operators.period` of the problem:
+    with period nt row0 holds the rows (component, x-node) at t-node 0,
+    and row (m, q) of A is row m with every t-index moved by q; with
+    period 1, row0 is A, scattered dense afresh for each LAPACK call.
     """
 
-    row0: np.ndarray
+    row0: object  # scipy.sparse.csr_array
     rhs: np.ndarray
     grid: Grid
     problem: object
@@ -98,9 +101,9 @@ class OperatorMatrix:
             )
         nt = self.period
         if nt == 1:
-            return self.row0
+            return self.row0.toarray()
         m = self.row0.shape[0]
-        row0 = self.row0.reshape(m, m, nt)
+        row0 = self.row0.toarray().reshape(m, m, nt)
         a = np.empty((m, nt, m, nt))
         for q in range(nt):
             # A[(m, q), (c, r)] = row0[m, c, (r - q) mod nt]
@@ -123,13 +126,13 @@ class OperatorMatrix:
         k = 0 .. nt // 2.  Blocks k and nt - k are conjugate, so these occur
         twice; blocks k = 0 and k = nt / 2 are real, occur once, and are
         returned as real arrays, so their SVDs give real vectors.  With
-        period 1, A is returned as it is.
+        period 1, A is returned as it is stored, sparse.
         """
         nt = self.period
         if nt == 1:
             return [self.row0], [1]
         m = self.row0.shape[0]
-        hat = np.fft.rfft(self.row0.reshape(m, m, nt), axis=-1)
+        hat = np.fft.rfft(self.row0.toarray().reshape(m, m, nt), axis=-1)
         hat = np.moveaxis(np.conjugate(hat, out=hat), -1, 0)
         multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
         return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
@@ -138,6 +141,8 @@ class OperatorMatrix:
     def block_sigma(self):
         """The singular values of each block in `blocks`, descending,
         computed once, on first use."""
+        if self.period == 1:
+            return [svdvals(self.row0.toarray(order="F"), overwrite_a=True)]
         return [svdvals(b) for b in self.blocks[0]]
 
 
@@ -148,15 +153,19 @@ def assemble(p, grid):
     Each block (component j, x-node i) fills its rows of row0, all nt of
     them with period 1 and its t = 0 row with period nt: one bincount over
     the keys q * N + col sums the weights from stencil_block, which
-    computes them a run of x-nodes at a time, into place.  The forcing is
-    apply_F's, on each run's curves as built for stencil_block.
+    computes them a run of x-nodes at a time, into place in a dense row0,
+    which is kept as CSR.  The forcing is apply_F's, on each run's curves
+    as built for stencil_block.
 
-    The entries A takes count against DENSE_LIMIT**2: N * N with period 1;
-    with period nt, the N * M of row0 and the nt // 2 + 1 complex M x M
+    The dense entries count against DENSE_LIMIT**2: with period 1, N * N,
+    first the dense row0 here, then the LU factors; with period nt, the
+    N * M of row0 expanded for its rfft and the nt // 2 + 1 complex M x M
     blocks derived from it, three times over, since a block that
     `solve_alternative` solves keeps its LU factors, and one that it
     decomposes two SVD factors.
     """
+    from scipy.sparse import csr_array  # see _largest_eigenvalue
+
     caches = CurveCache(p, grid)
     nt, period = grid.nt, caches.period
     size = p.n * grid.nx * nt
@@ -186,13 +195,20 @@ def assemble(p, grid):
     # the identity: stored row m is A's row m * period, so its unit sits
     # in column m * period
     row0[np.arange(height), np.arange(height) * period] += 1.0
+    # kept by a mask: scipy's own conversion, csr_array(row0), scans the
+    # dense values more slowly (37 against 12 ms at N = 2112, two cores)
+    nonzero = np.flatnonzero(row0 != 0.0)
+    indptr = np.searchsorted(nonzero, np.arange(height + 1) * size).astype(np.int32)
+    indices = (nonzero % size).astype(np.int32)
+    row0 = csr_array((row0.ravel()[nonzero], indices, indptr), shape=(height, size))
     return OperatorMatrix(row0, rhs.reshape(-1), grid, p, period)
 
 
-def factor(matrix, k=0):
-    """LU factors of block k of A (see `OperatorMatrix.blocks`; with period
-    1, A itself), for singular_spectrum and solve: scipy's lu_factor,
-    taken on first use and kept in `OperatorMatrix.factors`.
+def factor(matrix, k=0, a=None):
+    """LU factors of block k of A (see `OperatorMatrix.blocks`), for
+    singular_spectrum and solve: scipy's lu_factor, taken on first use and
+    kept in `OperatorMatrix.factors`.  With period 1 they overwrite `a`,
+    A scattered dense in Fortran order, by default afresh from row0.
 
     An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
@@ -200,28 +216,42 @@ def factor(matrix, k=0):
     """
     lu = matrix.factors.get(k)
     if lu is None:
+        if matrix.period == 1 and a is None:
+            a = matrix.row0.toarray(order="F")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu = matrix.factors[k] = lu_factor(matrix.blocks[0][k])
+            block = matrix.blocks[0][k] if a is None else a
+            lu = matrix.factors[k] = lu_factor(block, overwrite_a=a is not None)
     return lu
 
 
-def singular_spectrum(matrix, lu=None):
+def singular_spectrum(matrix, edges=False):
     """Singular values of A, descending.
 
-    Without `lu`: all N values, pooled from the blocks of A (see
-    `OperatorMatrix.block_sigma`).  With the LU factors of a one-block A
-    (see `factor`): only the edges [sigma_max, sigma_min], each from one
-    implicitly restarted Lanczos run for the largest eigenvalue, of A^T A
-    and of (A^T A)^-1 = A^-1 A^-T, through `apply` and `solve`.  A zero
-    pivot gives sigma_min = 0 without a run.
+    All N values, pooled from the blocks of A (see `block_sigma`); or,
+    with `edges` and a one-block A, only [sigma_max, sigma_min], each from
+    one implicitly restarted Lanczos run for the largest eigenvalue: of
+    A^T A, by gemv on A scattered dense in Fortran order, and of
+    (A^T A)^-1 = A^-1 A^-T, through the LU factors `factor` then takes of
+    that same array in place.  A zero pivot gives sigma_min = 0 without a
+    run.  A failed factorization raises as itself, a failed Lanczos run or
+    SVD as SpectrumError.
     """
-    try:
-        if lu is not None:
-            return _edge_singular_values(matrix, lu)
-        return _pooled(matrix.block_sigma, matrix.blocks[1])
-    except Exception as err:
-        raise SpectrumError(f"singular value computation failed: {err}") from err
+    if not edges:
+        try:
+            return _pooled(matrix.block_sigma, matrix.blocks[1])
+        except Exception as err:
+            raise SpectrumError(f"singular value computation failed: {err}") from err
+    a = matrix.row0.toarray(order="F")
+    sigma_max = math.sqrt(_largest_eigenvalue(matrix.size, lambda v: _gemv(a, _gemv(a, v), 1)))
+    if np.any(np.diagonal(factor(matrix, a=a)[0]) == 0.0):
+        return np.array([sigma_max, 0.0])
+
+    def inverse_gram(v):
+        return solve(matrix, solve(matrix, v, transpose=True))
+
+    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(matrix.size, inverse_gram))
+    return np.array([sigma_max, sigma_min])
 
 
 def _pooled(per_block, multiplicity):
@@ -231,14 +261,14 @@ def _pooled(per_block, multiplicity):
 
 def _decide(matrix):
     """The spectrum the alternative reads: when A is its own one block,
-    the edges, from its LU factors; otherwise every value, pooled from
-    the Fourier blocks, and A is not factored."""
-    return singular_spectrum(matrix, factor(matrix) if matrix.period == 1 else None)
+    the edges, and A is factored; otherwise every value, pooled from the
+    Fourier blocks, and A is not factored."""
+    return singular_spectrum(matrix, edges=matrix.period == 1)
 
 
 def _largest_eigenvalue(size, matvec):
-    # imported on first use: scipy.sparse adds about 0.08 s to the start of
-    # every process, and only the decision needs it
+    # imported on first use: scipy.sparse and its linalg add about 0.025 s
+    # to the start of a process after phsolve's own imports
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     # a fixed start vector keeps reports reproducible; unlike all-ones, a
@@ -246,7 +276,10 @@ def _largest_eigenvalue(size, matvec):
     # the problem has a symmetry
     start = np.random.default_rng(0).standard_normal(size)
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
+    try:
+        return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
+    except Exception as err:
+        raise SpectrumError(f"singular value computation failed: {err}") from err
 
 
 def _gemv(a, v, trans=0):
@@ -264,11 +297,13 @@ def _gemv(a, v, trans=0):
 
 
 def apply(matrix, u, transpose=False):
-    """A u, or A^T u, for a flat grid vector u: one gemv per block of A
-    (see `OperatorMatrix.blocks`) on u's rfft coefficients over the
-    period.  A real A's transpose acts on them through each block's
-    conjugate transpose."""
+    """A u, or A^T u, for a flat grid vector u: the sparse product with a
+    one-block A, or one gemv per block of A (see `OperatorMatrix.blocks`)
+    on u's rfft coefficients over the period.  A real A's transpose acts
+    on them through each block's conjugate transpose."""
     period, trans = matrix.period, 2 if transpose else 0
+    if period == 1:
+        return (matrix.row0.T if transpose else matrix.row0) @ u
     u_hat = _to_blocks(u, period)
     return _from_blocks([_gemv(b, r, trans) for b, r in zip(matrix.blocks[0], u_hat)], period)
 
@@ -281,23 +316,6 @@ def solve(matrix, rhs, transpose=False):
     rhs_hat = _to_blocks(rhs, period)
     u_hat = [lu_solve(factor(matrix, k), r, trans=trans) for k, r in enumerate(rhs_hat)]
     return _from_blocks(u_hat, period)
-
-
-def _edge_singular_values(matrix, lu):
-    size = matrix.size
-
-    def gram(v):
-        return apply(matrix, apply(matrix, v), transpose=True)
-
-    sigma_max = math.sqrt(_largest_eigenvalue(size, gram))
-    if np.any(np.diagonal(lu[0]) == 0.0):
-        return np.array([sigma_max, 0.0])
-
-    def inverse_gram(v):
-        return solve(matrix, solve(matrix, v, transpose=True))
-
-    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(size, inverse_gram))
-    return np.array([sigma_max, sigma_min])
 
 
 def default_tolerance(sigma, size):
@@ -367,10 +385,12 @@ def solve_alternative(matrix, tau=None):
         if not z:
             u_hat.append(lu_solve(factor(matrix, k), r))
             continue
-        # the LU of a one-block A is an N x N copy its SVD can use
+        # a one-block A drops its LU, and its SVD overwrites a fresh scatter
         matrix.factors.pop(k, None)
+        if period == 1:
+            b = b.toarray(order="F")
         try:
-            left, s, right_h = svd(b)
+            left, s, right_h = svd(b, overwrite_a=period == 1)
         except Exception as err:
             raise SpectrumError(f"decomposition failed: {err}") from err
         seen[k] = s

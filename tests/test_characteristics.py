@@ -84,12 +84,10 @@ def test_constant_diagonal_gain():
     assert np.all(curve.gain > 0.0)
 
 
-@pytest.mark.parametrize("a, b", [("2/pi", "0"), ("-1/3", "0.5*sin(t)")])
-def test_constant_speed_is_evaluated_once_per_trace(monkeypatch, a, b):
-    # a speed that mentions neither x nor t is evaluated at the anchors
-    # only; the curves equal those of a twin that mentions x, whose speed
-    # is evaluated at every RK4 stage
-    p, twin = one_component(a, b), one_component(f"{a}+0*x", b)
+def assert_evaluated_once(monkeypatch, p, twin, coefficient):
+    # coefficient(p) mentions neither x nor t, and is evaluated at the
+    # anchors only; the curves equal those of the twin, whose coefficient
+    # mentions x and is evaluated at every RK4 stage
     calls = []
     evaluate = ex.evaluate
 
@@ -99,14 +97,26 @@ def test_constant_speed_is_evaluated_once_per_trace(monkeypatch, a, b):
 
     monkeypatch.setattr(ex, "evaluate", counted)
     grid = Grid(17, 16)
-    side = 0.0 if a.startswith("-") else 1.0
+    side = 0.0 if evaluate(p.speeds[0], 0.0, 0.0) < 0.0 else 1.0
     got = ch.trace_arrays(p, 1, grid.xs, grid.ts, side, grid.nx - 1, ch.DEFAULT_SUBSTEPS)
-    assert calls.count(p.speeds[0]) == 1
+    assert calls.count(coefficient(p)) == 1
     want = ch.trace_arrays(twin, 1, grid.xs, grid.ts, side, grid.nx - 1, ch.DEFAULT_SUBSTEPS)
-    assert calls.count(twin.speeds[0]) > 4 * (grid.nx - 1)
+    assert calls.count(coefficient(twin)) > 4 * (grid.nx - 1)
     for got_arrays, want_arrays in zip(got, want):
         for g, w in zip(got_arrays, want_arrays):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("a, b", [("2/pi", "0"), ("-1/3", "0.5*sin(t)")])
+def test_constant_speed_is_evaluated_once_per_trace(monkeypatch, a, b):
+    p, twin = one_component(a, b), one_component(f"{a}+0*x", b)
+    assert_evaluated_once(monkeypatch, p, twin, lambda q: q.speeds[0])
+
+
+@pytest.mark.parametrize("a, b", [("1", "0.15"), ("-1/3+0.2*sin(t)", "-0.1")])
+def test_constant_diagonal_coupling_is_evaluated_once_per_trace(monkeypatch, a, b):
+    p, twin = one_component(a, b), one_component(a, f"{b}+0*x")
+    assert_evaluated_once(monkeypatch, p, twin, lambda q: q.coupling[0][0])
 
 
 def test_space_dependent_speed_quadratic_oracle():
