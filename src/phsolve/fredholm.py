@@ -21,8 +21,11 @@ their singular values, for the decision and the branch alike; A itself
 is expanded only when read.  The nt // 2 + 1 distinct Fourier blocks
 are decided from their pooled singular values; the one block from
 sigma_max (which scales the default tau) and sigma_min, by two Lanczos
-runs: on A scattered dense, then on the LU factors that overwrite it,
-which are from then on the one dense N x N held.  A value at or below
+runs: on the Gram A^T A, through the stored sparse A, then on the LU
+factors, from a start that a short run on the same Gram gives.  The LU
+overwrites A scattered dense, from then on the one dense N x N held;
+only an A over a sixth nonzero is scattered before, for its Gram
+products, where dense BLAS beats the sparse product.  A value at or below
 tau counts as zero, and tau is never below N * eps * sigma_max, numpy's
 `matrix_rank` tolerance, under which a value is round-off.  After the
 decision one pass handles every block by the values the decision saw of
@@ -208,7 +211,10 @@ def factor(matrix, k=0, a=None):
     """LU factors of block k of A (see `OperatorMatrix.blocks`), for
     singular_spectrum and solve: scipy's lu_factor, taken on first use and
     kept in `OperatorMatrix.factors`.  With period 1 they overwrite `a`,
-    A scattered dense in Fortran order, by default afresh from row0.
+    A scattered dense in Fortran order, which singular_spectrum hands
+    over when its Gram products read it, and by default a fresh scatter
+    of row0: the one dense copy of A the alternative makes unless it
+    decomposes A.
 
     An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
@@ -230,27 +236,50 @@ def singular_spectrum(matrix, edges=False):
 
     All N values, pooled from the blocks of A (see `block_sigma`); or,
     with `edges` and a one-block A, only [sigma_max, sigma_min], each from
-    one implicitly restarted Lanczos run for the largest eigenvalue: of
-    A^T A, by gemv on A scattered dense in Fortran order, and of
-    (A^T A)^-1 = A^-1 A^-T, through the LU factors `factor` then takes of
-    that same array in place.  A zero pivot gives sigma_min = 0 without a
-    run.  A failed factorization raises as itself, a failed Lanczos run or
-    SVD as SpectrumError.
+    one implicitly restarted Lanczos run (ARPACK, tol 1e-12) for the
+    largest eigenvalue: of the Gram A^T A, by two sparse products with
+    the stored A (`apply`), and of (A^T A)^-1 = A^-1 A^-T, through the LU
+    factors `factor` takes.  The sigma_min run starts from a rough
+    eigenvector of the Gram's smallest eigenvalue (see
+    `_smallest_ritz_vector`), which saves it LU solves.  An A over a
+    sixth nonzero takes its Gram products by gemv on its dense scatter
+    instead, which the LU then overwrites.  A zero pivot gives
+    sigma_min = 0.  A failed factorization raises as itself, a failed
+    Lanczos run or SVD as SpectrumError.
     """
     if not edges:
         try:
             return _pooled(matrix.block_sigma, matrix.blocks[1])
         except Exception as err:
             raise SpectrumError(f"singular value computation failed: {err}") from err
-    a = matrix.row0.toarray(order="F")
-    sigma_max = math.sqrt(_largest_eigenvalue(matrix.size, lambda v: _gemv(a, _gemv(a, v), 1)))
-    if np.any(np.diagonal(factor(matrix, a=a)[0]) == 0.0):
-        return np.array([sigma_max, 0.0])
+
+    # the Gram products read A as stored, sparse, unless over a sixth of it
+    # is nonzero, where a gemv pair on its dense scatter is faster; the LU
+    # factors then overwrite that scatter
+    a = None
+    if matrix.row0.nnz > matrix.size**2 / 6:
+        a = matrix.row0.toarray(order="F")
+
+    def gram(v):
+        if a is None:
+            return apply(matrix, apply(matrix, v), transpose=True)
+        return _gemv(a, _gemv(a, v), 1)
 
     def inverse_gram(v):
         return solve(matrix, solve(matrix, v, transpose=True))
 
-    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(matrix.size, inverse_gram))
+    # a fixed start vector keeps reports reproducible; unlike all-ones, a
+    # seeded random one is not orthogonal to the wanted eigenvector when
+    # the problem has a symmetry
+    start = np.random.default_rng(0).standard_normal(matrix.size)
+    sigma_max = math.sqrt(_largest_eigenvalue(gram, start))
+    start = _smallest_ritz_vector(gram, start)
+    if np.any(np.diagonal(factor(matrix, a=a)[0]) == 0.0):
+        return np.array([sigma_max, 0.0])
+    # from a close start, 8 Lanczos vectors before the first restart take
+    # fewer LU solves than ARPACK's default 20; fewer than 8 stall on a
+    # cluster at sigma_min, as levy-pass has
+    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(inverse_gram, start, ncv=8))
     return np.array([sigma_max, sigma_min])
 
 
@@ -266,18 +295,37 @@ def _decide(matrix):
     return singular_spectrum(matrix, edges=matrix.period == 1)
 
 
-def _largest_eigenvalue(size, matvec):
+def _eigsh(matvec, start, **options):
+    """scipy's eigsh (ARPACK) for one eigenpair of the symmetric operator
+    matvec, from the given start vector."""
     # imported on first use: scipy.sparse and its linalg add about 0.025 s
     # to the start of a process after phsolve's own imports
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    # a fixed start vector keeps reports reproducible; unlike all-ones, a
-    # seeded random one is not orthogonal to the wanted eigenvector when
-    # the problem has a symmetry
-    start = np.random.default_rng(0).standard_normal(size)
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    op = LinearOperator((start.size, start.size), matvec=matvec, dtype=float)
+    return eigsh(op, k=1, v0=start, **options)
+
+
+def _largest_eigenvalue(matvec, start, **options):
     try:
-        return float(eigsh(op, k=1, v0=start, tol=1e-12, return_eigenvectors=False)[0])
+        return float(_eigsh(matvec, start, tol=1e-12, return_eigenvectors=False, **options)[0])
+    except Exception as err:
+        raise SpectrumError(f"singular value computation failed: {err}") from err
+
+
+def _smallest_ritz_vector(gram, start):
+    """A rough eigenvector of gram's smallest eigenvalue, from a Lanczos
+    run from start on a capped budget, or start itself when the run does
+    not converge within it."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    # at most 41 Gram products: on wellposed at 33 x 32 they cost what 5
+    # LU solve pairs do, and save the sigma_min run 22 pairs
+    options = dict(which="SA", tol=1e-6, maxiter=3, ncv=min(16, start.size))
+    try:
+        return _eigsh(gram, start, **options)[1][:, 0]
+    except ArpackNoConvergence:
+        return start
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
@@ -417,7 +465,8 @@ def solve_alternative(matrix, tau=None):
         sigma, defect = sigma[[0, -1]], None
     else:
         sigma = _pooled(seen, multiplicity)
-        defect = float(np.linalg.norm(_gemv(cokernel, matrix.rhs, 1)))
+        projection = _gemv(cokernel, matrix.rhs, 1)
+        defect = float(get_blas_funcs("nrm2", (projection,))(projection))
     p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
     res = residual(p, grid, solution, matrix=matrix)

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import math
+import runpy
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +543,48 @@ def test_fourier_path_matches_dense_oracle(case, shape, full_problem):
         assert report.defect == pytest.approx(want_defect, rel=1e-10, abs=1e-12)
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def one_block_case(case):
+    if case == "breathing-example13":
+        return pb.from_dict(BREATHING_13)
+    if case == "integral-coupling":
+        return pb.from_dict(runpy.run_path(str(WORKLOADS))["coupling_problem"](1)[0])
+    return problems.get_builtin(case)
+
+
+ONE_BLOCK_CASES = [
+    *((case, shape) for case in ("manufactured-wellposed", "levy-pass") for shape in SHAPES[:2]),
+    # 22% nonzero: its Gram products read the dense scatter
+    ("integral-coupling", (21, 20)),
+    *(("breathing-example13", shape) for shape in SHAPES[:2]),
+]
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [pytest.param(case, shape, id=f"{case}-{shape[0]}x{shape[1]}") for case, shape in ONE_BLOCK_CASES],
+)
+def test_decided_edges_match_the_dense_spectrum(case, shape):
+    p = one_block_case(case)
+    grid = gr.Grid(*shape)
+    # the Lanczos runs start from fixed vectors, so a fresh assembly is
+    # decided bit for bit alike and reports are reproducible
+    edges = fr.singular_spectrum(fr.assemble(p, grid), edges=True)
+    matrix = fr.assemble(p, grid)
+    assert matrix.period == 1
+    assert np.array_equal(fr.singular_spectrum(matrix, edges=True), edges)
+    s = svdvals(matrix.A)
+    np.testing.assert_allclose(edges, s[[0, -1]], rtol=1e-12, atol=0.0)
+    for tau in (None, tau_in_gap(s)):
+        report = fr.solve_alternative(matrix, tau=tau)
+        assert report.unique is bool(s[-1] > report.tau)
+        assert report.kernel_dim == int(np.count_nonzero(s <= report.tau))
+        if report.unique:
+            assert np.array_equal(report.sigma, edges)
+
+
 @pytest.mark.parametrize("shape", [(13, 11), (17, 16)])
 @pytest.mark.parametrize("case", [*problems.BUILTINS, "t-free-volterra"])
 def test_apply_and_solve_match_dense_A(case, shape):
@@ -582,13 +626,14 @@ def test_gemv_takes_operands_with_no_entries(trans, dtype):
 
 @pytest.mark.parametrize("tau", [None, 1e-2])
 def test_alternative_leaves_numpy_linear_algebra_alone(monkeypatch, tau):
-    # from the LU onwards the alternative's solves and decompositions are
-    # scipy's, in the one BLAS library scipy links
+    # from the LU onwards the alternative's solves, decompositions and the
+    # defect's norm are scipy's, in the one BLAS library scipy links
     def refuse(*_args, **_kwargs):
         pytest.fail("numpy's linear algebra was called")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
     for case in problems.BUILTINS:
         report = fr.solve_alternative(fr.assemble(problems.get_builtin(case), gr.Grid(13, 11)), tau)
         assert report.unique is (report.kernel_dim == 0)
@@ -722,9 +767,9 @@ def test_autonomous_apply_matches_dense_rows(case, shape):
 
 def test_one_block_solve_holds_one_dense_copy_of_A():
     # A is stored sparse, and its LU factors overwrite the one dense
-    # scatter that the decision's Gram products read: assembly and a
-    # one-block solve hold one dense N x N at a time, near 8 N^2 bytes,
-    # where A and its LU copy took twice that
+    # scatter of it that the decision makes: assembly and a one-block
+    # solve hold one dense N x N at a time, near 8 N^2 bytes, where A and
+    # its LU copy took twice that
     p = problems.get_builtin("manufactured-wellposed")
     tracemalloc.start()
     try:
@@ -735,6 +780,37 @@ def test_one_block_solve_holds_one_dense_copy_of_A():
         tracemalloc.stop()
     assert report.matrix.period == 1
     assert peak <= 1.5 * 8 * report.matrix.size**2
+
+
+@pytest.mark.parametrize(
+    "case, shape, dense_gram",
+    [
+        pytest.param("manufactured-wellposed", (33, 32), False, id="sparse-gram"),
+        pytest.param("integral-coupling", (21, 20), True, id="dense-gram"),
+    ],
+)
+def test_one_block_decision_scatters_A_once(monkeypatch, case, shape, dense_gram):
+    # the Gram products read the stored CSR, or past a sixth nonzero its
+    # dense scatter; either way A is scattered once, for the LU to overwrite
+    matrix = fr.assemble(one_block_case(case), gr.Grid(*shape))
+    assert (matrix.row0.nnz > matrix.size**2 / 6) is dense_gram
+    scatters, square = [], []
+    toarray, gemv = type(matrix.row0).toarray, fr._gemv
+
+    def counted_toarray(self, *args, **kwargs):
+        scatters.append(self is matrix.row0)
+        return toarray(self, *args, **kwargs)
+
+    def counted_gemv(a, v, trans=0):
+        square.append(a.shape == (matrix.size, matrix.size))
+        return gemv(a, v, trans)
+
+    monkeypatch.setattr(type(matrix.row0), "toarray", counted_toarray)
+    monkeypatch.setattr(fr, "_gemv", counted_gemv)
+    report = fr.solve_alternative(matrix)
+    assert report.unique
+    assert scatters == [True]
+    assert any(square) is dense_gram
 
 
 def test_autonomous_problem_passes_the_dense_cap():
