@@ -1,6 +1,6 @@
 """Periodic solutions of coupled one-dimensional transport systems with
 integral boundary conditions, via characteristic integral equations and
-dense spectral diagnostics."""
+the singular values of their discretization, stored sparse."""
 
 from .expr import differentiate, evaluate, parse, to_string
 from .fredholm import (

@@ -43,6 +43,14 @@ the other needed.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
+
+scipy is imported on first use, inside the functions that call it, so
+importing phsolve loads numpy and phsolve alone, and the commands that
+factor nothing (`residual`, `check-levy`, `list-builtins`) never load
+scipy.linalg, which is about half of a bare process's start.  `svd`,
+`svdvals`, `lu_factor` and `lu_solve` are this module's own names for
+scipy.linalg's, called through the module so that they can be patched
+or traced here.
 """
 
 from __future__ import annotations
@@ -53,13 +61,36 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_blas_funcs, lu_factor, lu_solve, svd, svdvals
 
 from . import expr as ex
 from .grid import Grid, GridFunction, sample_exprs, sup_norm
 from .operators import CurveCache, apply_F, apply_K, stencil_block
 
 DENSE_LIMIT = 20000
+
+
+def svd(*args, **options):
+    from scipy.linalg import svd
+
+    return svd(*args, **options)
+
+
+def svdvals(*args, **options):
+    from scipy.linalg import svdvals
+
+    return svdvals(*args, **options)
+
+
+def lu_factor(*args, **options):
+    from scipy.linalg import lu_factor
+
+    return lu_factor(*args, **options)
+
+
+def lu_solve(*args, **options):
+    from scipy.linalg import lu_solve
+
+    return lu_solve(*args, **options)
 
 
 class CapacityError(ValueError):
@@ -167,7 +198,7 @@ def assemble(p, grid):
     `solve_alternative` solves keeps its LU factors, and one that it
     decomposes two SVD factors.
     """
-    from scipy.sparse import csr_array  # see _largest_eigenvalue
+    from scipy.sparse import csr_array
 
     caches = CurveCache(p, grid)
     nt, period = grid.nt, caches.period
@@ -220,6 +251,8 @@ def factor(matrix, k=0, a=None):
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
     pivot is silenced here.
     """
+    from scipy.linalg import LinAlgWarning
+
     lu = matrix.factors.get(k)
     if lu is None:
         if matrix.period == 1 and a is None:
@@ -236,10 +269,10 @@ def singular_spectrum(matrix, edges=False):
 
     All N values, pooled from the blocks of A (see `block_sigma`); or,
     with `edges` and a one-block A, only [sigma_max, sigma_min], each from
-    one implicitly restarted Lanczos run (ARPACK, tol 1e-12) for the
-    largest eigenvalue: of the Gram A^T A, by two sparse products with
-    the stored A (`apply`), and of (A^T A)^-1 = A^-1 A^-T, through the LU
-    factors `factor` takes.  The sigma_min run starts from a rough
+    one implicitly restarted Lanczos run (ARPACK) for the largest
+    eigenvalue: of the Gram A^T A at tol 1e-8, by two sparse products with
+    the stored A (`apply`), and of (A^T A)^-1 = A^-1 A^-T at tol 1e-12,
+    through the LU factors `factor` takes.  The sigma_min run starts from a rough
     eigenvector of the Gram's smallest eigenvalue (see
     `_smallest_ritz_vector`), which saves it LU solves.  An A over a
     sixth nonzero takes its Gram products by gemv on its dense scatter
@@ -272,14 +305,16 @@ def singular_spectrum(matrix, edges=False):
     # seeded random one is not orthogonal to the wanted eigenvector when
     # the problem has a symmetry
     start = np.random.default_rng(0).standard_normal(matrix.size)
-    sigma_max = math.sqrt(_largest_eigenvalue(gram, start))
+    # sigma_max only scales tau and its round-off floor: at tol 1e-8 it
+    # agrees with tol 1e-12's to 8e-16, in 10 fewer Gram products
+    sigma_max = math.sqrt(_largest_eigenvalue(gram, start, tol=1e-8))
     start = _smallest_ritz_vector(gram, start)
     if np.any(np.diagonal(factor(matrix, a=a)[0]) == 0.0):
         return np.array([sigma_max, 0.0])
     # from a close start, 8 Lanczos vectors before the first restart take
     # fewer LU solves than ARPACK's default 20; fewer than 8 stall on a
     # cluster at sigma_min, as levy-pass has
-    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(inverse_gram, start, ncv=8))
+    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(inverse_gram, start, tol=1e-12, ncv=8))
     return np.array([sigma_max, sigma_min])
 
 
@@ -298,8 +333,6 @@ def _decide(matrix):
 def _eigsh(matvec, start, **options):
     """scipy's eigsh (ARPACK) for one eigenpair of the symmetric operator
     matvec, from the given start vector."""
-    # imported on first use: scipy.sparse and its linalg add about 0.025 s
-    # to the start of a process after phsolve's own imports
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     op = LinearOperator((start.size, start.size), matvec=matvec, dtype=float)
@@ -308,7 +341,7 @@ def _eigsh(matvec, start, **options):
 
 def _largest_eigenvalue(matvec, start, **options):
     try:
-        return float(_eigsh(matvec, start, tol=1e-12, return_eigenvectors=False, **options)[0])
+        return float(_eigsh(matvec, start, return_eigenvectors=False, **options)[0])
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
@@ -338,6 +371,8 @@ def _gemv(a, v, trans=0):
     refuses an operand with no entries, so its product is made here."""
     if a.size == 0:
         return np.zeros(a.shape[1 if trans else 0], np.result_type(a, v))
+    from scipy.linalg import get_blas_funcs
+
     gemv = get_blas_funcs("gemv", (a, v))
     if not a.flags.f_contiguous and (trans < 2 or not np.iscomplexobj(a)):
         return gemv(1.0, a.T, v, trans=1 - min(trans, 1))
@@ -465,6 +500,8 @@ def solve_alternative(matrix, tau=None):
         sigma, defect = sigma[[0, -1]], None
     else:
         sigma = _pooled(seen, multiplicity)
+        from scipy.linalg import get_blas_funcs
+
         projection = _gemv(cokernel, matrix.rhs, 1)
         defect = float(get_blas_funcs("nrm2", (projection,))(projection))
     p, grid = matrix.problem, matrix.grid

@@ -268,19 +268,26 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    phsolve."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_out_of_memory_exits_one(tmp_path):
     # the residual command has no dense cap: sampling a 20001 x 20000
     # candidate asks for 6.4 GB, which a 3 GiB address space refuses
     pytest.importorskip("resource")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [
         "residual", "--builtin", "example13", "--nx", "20001", "--nt", "20000",
         "--exact", "0,0", "--out", str(tmp_path),
     ]
     run = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_CAP, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, *argv],
+        env=src_env(), capture_output=True, text=True,
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
@@ -514,6 +521,90 @@ def test_any_problem_exits_cleanly_with_finite_artifacts(problem, command, tau, 
         assert code in (0, 1, 2)
         if (out / "run").exists():
             _assert_finite_artifacts(out / "run")
+
+
+# --- imports: scipy on first use -------------------------------------------
+# each check runs in a fresh interpreter, since pytest's warning filter on
+# scipy.linalg.LinAlgWarning loads scipy.linalg into this one
+
+_LOADED_SCIPY = """
+import sys
+loaded = lambda: [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+import phsolve
+print(loaded())
+import phsolve.cli
+print(loaded())
+"""
+
+
+def test_importing_phsolve_loads_no_scipy_linalg_or_sparse():
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY], env=src_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]"]
+
+
+# refuses to import scipy.linalg, then runs the command line in argv[1:]
+_WITHOUT_SCIPY_LINALG = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg" or name.startswith("scipy.linalg."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from phsolve.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_without_scipy_linalg(argv):
+    return subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY_LINALG, *argv],
+        env=src_env(), capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--builtin", "example13", "--nx", "17", "--nt", "16",
+         "--exact", ",".join(problems.kernel_pair(1))],
+        ["check-levy", "--builtin", "example13", "--nx", "17", "--nt", "16"],
+        ["list-builtins"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_that_factors_nothing_runs_without_scipy_linalg(tmp_path, capsys, argv):
+    # residual applies K and F alone; check-levy and list-builtins read the
+    # problem only: none needs scipy.linalg, and each prints and writes what
+    # it does with scipy.linalg at hand
+    without, within = tmp_path / "without", tmp_path / "with"
+
+    def with_out(out):
+        out.mkdir()
+        return argv if argv[0] == "list-builtins" else [*argv, "--out", str(out)]
+
+    run = run_without_scipy_linalg(with_out(without))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert main(with_out(within)) == 0
+    assert run.stdout == capsys.readouterr().out != ""
+    files = [{f.name: f.read_bytes() for f in out.iterdir()} for out in (without, within)]
+    assert files[0] == files[1]
+    assert argv[0] == "list-builtins" or files[0]
+
+
+def test_solve_needs_scipy_linalg(tmp_path):
+    # the refusal above is live: a command that factors A fails under it
+    run = run_without_scipy_linalg(
+        ["solve", "--builtin", "manufactured-wellposed", "--nx", "5", "--nt", "4",
+         "--out", str(tmp_path)]
+    )
+    assert run.returncode != 0
+    assert "scipy.linalg is refused" in run.stderr
 
 
 # --- README -----------------------------------------------------------------
