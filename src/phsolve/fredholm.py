@@ -20,26 +20,31 @@ from it once per assembled matrix, and `OperatorMatrix.block_sigma`
 their singular values, for the decision and the branch alike; A itself
 is expanded only when read.  The nt // 2 + 1 distinct Fourier blocks
 are decided from their pooled singular values; the one block from
-sigma_max (which scales the default tau) and sigma_min, by two Lanczos
-runs: on the Gram A^T A, through the stored sparse A, then on the LU
-factors, from a start that a short run on the same Gram gives.  The LU
-overwrites A scattered dense, from then on the one dense N x N held;
-only an A over a sixth nonzero is scattered before, for its Gram
-products, where dense BLAS beats the sparse product.  A value at or below
-tau counts as zero, and tau is never below N * eps * sigma_max, numpy's
-`matrix_rank` tolerance, under which a value is round-off.  After the
-decision one pass handles every block by the values the decision saw of
-it: a block with none of them zero is solved through its LU factors
-(`OperatorMatrix.factors`), and only a block with a zero is decomposed
-by one SVD into real (numerical) kernel and cokernel bases, a truncated
-least-squares solution, and the solvability defect of the forcing.  The
-residual of that solution is sup|Au - rhs|, with Au the one block's
-sparse product, or taken block by block through the same rfft over t
-as the solve, so no part of K is walked after assembly.  From the LU
-onwards each product and solve is one scipy call per block (`apply`,
-`solve`, `_gemv`): numpy links a separate OpenBLAS, and switching to it
-between scipy calls left each library's threads spinning on the cores
-the other needed.
+sigma_max (which scales the default tau) and sigma_min, by Lanczos runs
+on the Gram A^T A through the stored sparse A, for its largest and its
+smallest eigenvalue.  As K is compact, A^T A is the identity less a
+compact operator, and for a well-posed A its smallest eigenvalue sits
+apart from the cluster at 1: there the run certifies sigma_min, and A
+is not factored to decide.  An uncertified sigma_min comes from a third
+run, on the LU factors, from the eigenvector the second gave.  The LU,
+taken by the decision or else for the solve, overwrites A scattered
+dense, from then on the one dense N x N held; only an A over a sixth
+nonzero is scattered before, for its Gram products, where dense BLAS
+beats the sparse product, and that scatter is held for the LU.  A
+value at or below tau counts as zero, and tau is never below
+N * eps * sigma_max, numpy's `matrix_rank` tolerance, under which a
+value is round-off.  After the decision one pass handles every block by
+the values the decision saw of it: a block with none of them zero is
+solved through its LU factors (`OperatorMatrix.factors`), and only a
+block with a zero is decomposed by one SVD into real (numerical) kernel
+and cokernel bases, a truncated least-squares solution, and the
+solvability defect of the forcing.  The residual of that solution is
+sup|Au - rhs|, with Au the one block's sparse product, or taken block
+by block through the same rfft over t as the solve, so no part of K is
+walked after assembly.  From the LU onwards each product and solve is
+one scipy call per block (`apply`, `solve`, `_gemv`): numpy links a
+separate OpenBLAS, and switching to it between scipy calls left each
+library's threads spinning on the cores the other needed.
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -109,7 +114,8 @@ class OperatorMatrix:
     (N // period, N), where period is `operators.period` of the problem:
     with period nt row0 holds the rows (component, x-node) at t-node 0,
     and row (m, q) of A is row m with every t-index moved by q; with
-    period 1, row0 is A, scattered dense afresh for each LAPACK call.
+    period 1, row0 is A, scattered dense for each LAPACK call, which
+    overwrites it (see `_dense`).
     """
 
     row0: object  # scipy.sparse.csr_array
@@ -119,6 +125,9 @@ class OperatorMatrix:
     period: int
     # the LU factors of blocks, by index in `blocks`: see `factor`
     factors: dict = field(default_factory=dict, init=False, repr=False)
+    # with period 1, A scattered dense in Fortran order for the decision's
+    # Gram products, held until a LAPACK call overwrites it: see `_dense`
+    scatter: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self):
@@ -170,6 +179,12 @@ class OperatorMatrix:
         hat = np.moveaxis(np.conjugate(hat, out=hat), -1, 0)
         multiplicity = [1 if k == 0 or 2 * k == nt else 2 for k in range(nt // 2 + 1)]
         return [b.real if mult == 1 else b for b, mult in zip(hat, multiplicity)], multiplicity
+
+    @functools.cached_property
+    def row0_t(self):
+        """The transpose of row0, a CSC view of its arrays, built once for
+        every product with A^T."""
+        return self.row0.T
 
     @functools.cached_property
     def block_sigma(self):
@@ -238,14 +253,15 @@ def assemble(p, grid):
     return OperatorMatrix(row0, rhs.reshape(-1), grid, p, period)
 
 
-def factor(matrix, k=0, a=None):
-    """LU factors of block k of A (see `OperatorMatrix.blocks`), for
-    singular_spectrum and solve: scipy's lu_factor, taken on first use and
-    kept in `OperatorMatrix.factors`.  With period 1 they overwrite `a`,
-    A scattered dense in Fortran order, which singular_spectrum hands
-    over when its Gram products read it, and by default a fresh scatter
-    of row0: the one dense copy of A the alternative makes unless it
-    decomposes A.
+def factor(matrix, k=0):
+    """LU factors of block k of A (see `OperatorMatrix.blocks`), for solve
+    and singular_spectrum: scipy's lu_factor, taken on first use and kept
+    in `OperatorMatrix.factors`.  With period 1 they overwrite A scattered
+    dense (see `_dense`), the one dense copy of A the alternative makes
+    unless it decomposes A.  That A is checked finite on its stored
+    values, which is the same check as LAPACK's on the scatter, since the
+    entries row0 does not store are exact zeros, and scans a few percent
+    of the entries.
 
     An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
@@ -255,30 +271,42 @@ def factor(matrix, k=0, a=None):
 
     lu = matrix.factors.get(k)
     if lu is None:
-        if matrix.period == 1 and a is None:
-            a = matrix.row0.toarray(order="F")
+        one_block = matrix.period == 1
+        if one_block and not np.isfinite(matrix.row0.data).all():
+            raise ValueError("A has entries that are not finite")
+        block = _dense(matrix) if one_block else matrix.blocks[0][k]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            block = matrix.blocks[0][k] if a is None else a
-            lu = matrix.factors[k] = lu_factor(block, overwrite_a=a is not None)
+            lu = lu_factor(block, overwrite_a=one_block, check_finite=not one_block)
+            matrix.factors[k] = lu
     return lu
+
+
+def _dense(matrix):
+    """A one-block A scattered dense in Fortran order, for a LAPACK call to
+    overwrite: the scatter the decision's Gram products read, handed over
+    once, or else a fresh one."""
+    a, matrix.scatter = matrix.scatter, None
+    return matrix.row0.toarray(order="F") if a is None else a
 
 
 def singular_spectrum(matrix, edges=False):
     """Singular values of A, descending.
 
     All N values, pooled from the blocks of A (see `block_sigma`); or,
-    with `edges` and a one-block A, only [sigma_max, sigma_min], each from
-    one implicitly restarted Lanczos run (ARPACK) for the largest
-    eigenvalue: of the Gram A^T A at tol 1e-8, by two sparse products with
-    the stored A (`apply`), and of (A^T A)^-1 = A^-1 A^-T at tol 1e-12,
-    through the LU factors `factor` takes.  The sigma_min run starts from a rough
-    eigenvector of the Gram's smallest eigenvalue (see
-    `_smallest_ritz_vector`), which saves it LU solves.  An A over a
-    sixth nonzero takes its Gram products by gemv on its dense scatter
-    instead, which the LU then overwrites.  A zero pivot gives
-    sigma_min = 0.  A failed factorization raises as itself, a failed
-    Lanczos run or SVD as SpectrumError.
+    with `edges` and a one-block A, only [sigma_max, sigma_min], from
+    implicitly restarted Lanczos runs (ARPACK) on the Gram A^T A, by two
+    sparse products with the stored A (`apply`).  sigma_max is the root of
+    its largest eigenvalue, at tol 1e-8.  sigma_min is the root of its
+    smallest (see `_smallest_eigenpair`) where that run certifies it (see
+    `_certified`), and A is not factored.  Otherwise it comes from a
+    third run, for the largest eigenvalue of (A^T A)^-1 = A^-1 A^-T at tol
+    1e-12, through the LU factors `factor` takes, from the eigenvector
+    the smallest run gave or else from its start; a zero pivot gives
+    sigma_min = 0.  An A over a sixth nonzero takes its Gram products by
+    gemv on its dense scatter instead, which is then held for the LU to
+    overwrite.  A failed factorization raises as itself, a failed Lanczos
+    run or SVD as SpectrumError.
     """
     if not edges:
         try:
@@ -287,11 +315,11 @@ def singular_spectrum(matrix, edges=False):
             raise SpectrumError(f"singular value computation failed: {err}") from err
 
     # the Gram products read A as stored, sparse, unless over a sixth of it
-    # is nonzero, where a gemv pair on its dense scatter is faster; the LU
-    # factors then overwrite that scatter
+    # is nonzero, where a gemv pair on its dense scatter is faster; that
+    # scatter is held for the LU to overwrite
     a = None
     if matrix.row0.nnz > matrix.size**2 / 6:
-        a = matrix.row0.toarray(order="F")
+        a = matrix.scatter = _dense(matrix)
 
     def gram(v):
         if a is None:
@@ -308,8 +336,10 @@ def singular_spectrum(matrix, edges=False):
     # sigma_max only scales tau and its round-off floor: at tol 1e-8 it
     # agrees with tol 1e-12's to 8e-16, in 10 fewer Gram products
     sigma_max = math.sqrt(_largest_eigenvalue(gram, start, tol=1e-8))
-    start = _smallest_ritz_vector(gram, start)
-    if np.any(np.diagonal(factor(matrix, a=a)[0]) == 0.0):
+    smallest, start = _smallest_eigenpair(gram, start)
+    if _certified(smallest, sigma_max):
+        return np.array([sigma_max, math.sqrt(smallest)])
+    if np.any(np.diagonal(factor(matrix)[0]) == 0.0):
         return np.array([sigma_max, 0.0])
     # from a close start, 8 Lanczos vectors before the first restart take
     # fewer LU solves than ARPACK's default 20; fewer than 8 stall on a
@@ -346,21 +376,37 @@ def _largest_eigenvalue(matvec, start, **options):
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
 
-def _smallest_ritz_vector(gram, start):
-    """A rough eigenvector of gram's smallest eigenvalue, from a Lanczos
-    run from start on a capped budget, or start itself when the run does
-    not converge within it."""
+def _smallest_eigenpair(gram, start):
+    """The smallest eigenvalue of gram and its eigenvector, from a Lanczos
+    run from start at tol 1e-13 on a capped budget, or (nan, start) when
+    the run does not converge within it."""
     from scipy.sparse.linalg import ArpackNoConvergence
 
-    # at most 41 Gram products: on wellposed at 33 x 32 they cost what 5
-    # LU solve pairs do, and save the sigma_min run 22 pairs
-    options = dict(which="SA", tol=1e-6, maxiter=3, ncv=min(16, start.size))
+    # at most 73 Gram products, 37 and then 12 a restart: wellposed is
+    # certified in 37, 49 and 61 of them at 17 x 16, 33 x 32 and 65 x 64,
+    # which leaves a restart to spare where ARPACK builds count apart;
+    # levy-pass, whose sigma_min sits in a cluster, and breathing
+    # example13, too small against sigma_max to certify, spend them all
+    options = dict(which="SA", tol=1e-13, maxiter=4, ncv=min(24, start.size))
     try:
-        return _eigsh(gram, start, **options)[1][:, 0]
+        values, vectors = _eigsh(gram, start, **options)
     except ArpackNoConvergence:
-        return start
+        return math.nan, start
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
+    return float(values[0]), vectors[:, 0]
+
+
+def _certified(smallest, sigma_max):
+    """Whether sqrt(smallest), from `_smallest_eigenpair`, is sigma_min to
+    1e-13 relative.  The residual bound |theta - lambda| <= |r| (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 4) and the run's tol put
+    smallest within 1e-13 smallest of an eigenvalue of the Gram as
+    applied, and rounding in the products moves that eigenvalue by about
+    eps sigma_max^2 more; the root halves the sum of the two relative
+    errors.  A run that did not converge (nan), or a smallest at
+    round-off (zero or negative), is not certified."""
+    return np.finfo(float).eps * sigma_max**2 <= 1e-13 * smallest
 
 
 def _gemv(a, v, trans=0):
@@ -386,7 +432,7 @@ def apply(matrix, u, transpose=False):
     on them through each block's conjugate transpose."""
     period, trans = matrix.period, 2 if transpose else 0
     if period == 1:
-        return (matrix.row0.T if transpose else matrix.row0) @ u
+        return (matrix.row0_t if transpose else matrix.row0) @ u
     u_hat = _to_blocks(u, period)
     return _from_blocks([_gemv(b, r, trans) for b, r in zip(matrix.blocks[0], u_hat)], period)
 
@@ -440,7 +486,8 @@ def solve_alternative(matrix, tau=None):
     Each block (see `OperatorMatrix.blocks`) is judged by the values the
     decision saw of it, and works on the rfft coefficients of rhs over
     the period.  A block with none of them zero is solved through its LU
-    factors (see `factor`), which the one block shares with the decision.
+    factors (see `factor`), which the one block shares with the decision
+    when the decision took them.
     A block with a zero takes one SVD, whose values replace those the
     decision saw; it gives up at least its smallest pair, since the
     decision saw that one at or below tau.  A is unique when no block is
@@ -468,10 +515,10 @@ def solve_alternative(matrix, tau=None):
         if not z:
             u_hat.append(lu_solve(factor(matrix, k), r))
             continue
-        # a one-block A drops its LU, and its SVD overwrites a fresh scatter
+        # a one-block A drops its LU, and its SVD overwrites a scatter of it
         matrix.factors.pop(k, None)
         if period == 1:
-            b = b.toarray(order="F")
+            b = _dense(matrix)
         try:
             left, s, right_h = svd(b, overwrite_a=period == 1)
         except Exception as err:

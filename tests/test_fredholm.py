@@ -915,6 +915,113 @@ def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, e
         assert fr.solve_alternative(matrix).unique is True
 
 
+def _count_lu(monkeypatch):
+    """Count fr.lu_factor and fr.lu_solve calls from here on."""
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _call=getattr(fr, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(fr, name, counted)
+    return calls
+
+
+CERTIFIED_CASES = [
+    pytest.param("manufactured-wellposed", (33, 32), id="wellposed-33x32"),
+    pytest.param("integral-coupling", (21, 20), id="integral-coupling-21x20"),
+]
+
+
+@pytest.mark.parametrize("case, shape", CERTIFIED_CASES)
+def test_certified_decision_makes_no_lu_solves(monkeypatch, case, shape):
+    # sigma_min sits apart from the Gram's cluster at 1, so the Lanczos run
+    # for its smallest eigenvalue certifies it and A is not factored to
+    # decide; the unique solve then takes one LU and one lu_solve
+    p, grid = one_block_case(case), gr.Grid(*shape)
+    calls = _count_lu(monkeypatch)
+    edges = fr.singular_spectrum(fr.assemble(p, grid), edges=True)
+    assert calls == {"lu_factor": 0, "lu_solve": 0}
+    report = fr.solve_alternative(fr.assemble(p, grid))
+    assert calls == {"lu_factor": 1, "lu_solve": 1}
+    assert report.unique
+    assert np.array_equal(report.sigma, edges)
+
+
+@pytest.mark.parametrize("case, shape", CERTIFIED_CASES)
+def test_certified_and_inverse_runs_give_one_answer(monkeypatch, case, shape):
+    # with the certificate refused, sigma_min comes from the inverse run on
+    # the LU factors; the solve reads the same LU of the same scatter
+    p, grid = one_block_case(case), gr.Grid(*shape)
+    certified = fr.solve_alternative(fr.assemble(p, grid))
+    monkeypatch.setattr(fr, "_certified", lambda *_: False)
+    calls = _count_lu(monkeypatch)
+    fallback = fr.solve_alternative(fr.assemble(p, grid))
+    assert calls["lu_factor"] == 1 and calls["lu_solve"] > 1
+    assert np.array_equal(fallback.solution.values, certified.solution.values)
+    assert fallback.residual == certified.residual
+    assert fallback.unique is certified.unique is True
+    assert fallback.tau == certified.tau
+    assert fallback.sigma[0] == certified.sigma[0]
+    assert fallback.sigma_min == pytest.approx(certified.sigma_min, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["levy-pass", "breathing-example13"])
+def test_uncertified_decision_takes_the_inverse_run(monkeypatch, case):
+    # levy-pass's sigma_min sits in a cluster and breathing's is too small
+    # against sigma_max to certify: both are decided on the LU factors
+    matrix = fr.assemble(one_block_case(case), gr.Grid(17, 16))
+    calls = _count_lu(monkeypatch)
+    edges = fr.singular_spectrum(matrix, edges=True)
+    assert calls["lu_factor"] == 1 and calls["lu_solve"] >= 1
+    np.testing.assert_allclose(edges, svdvals(matrix.A)[[0, -1]], rtol=1e-12, atol=0.0)
+
+
+def test_sigma_table_of_a_well_posed_problem_factors_nothing(monkeypatch):
+    p = problems.get_builtin("manufactured-wellposed")
+    grids = [(9, 8), (17, 16), (33, 32)]
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    rows = fr.convergence_study(p, grids)
+    for row in rows[:2]:
+        s = svdvals(fr.assemble(p, gr.Grid(row.nx, row.nt)).A)
+        assert row.value == pytest.approx(s[-1], rel=1e-13, abs=0.0)
+    assert all(row.value > 0.5 for row in rows)
+
+
+def test_certified_resonant_one_block_decomposes_the_held_scatter(monkeypatch):
+    # a tau over sigma_max counts every value as zero: the certified
+    # decision factors nothing, and the SVD overwrites the dense scatter
+    # its Gram products read, so A is still scattered once
+    matrix = fr.assemble(one_block_case("integral-coupling"), gr.Grid(9, 8))
+    assert matrix.row0.nnz > matrix.size**2 / 6
+    scatters = []
+    toarray = type(matrix.row0).toarray
+
+    def counted_toarray(self, *args, **kwargs):
+        scatters.append(self is matrix.row0)
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(matrix.row0), "toarray", counted_toarray)
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    sigma_max = fr.singular_spectrum(matrix, edges=True)[0]
+    report = fr.solve_alternative(matrix, tau=2.0 * sigma_max)
+    assert scatters == [True]
+    assert report.kernel_dim == matrix.size
+    assert matrix.scatter is None
+
+
+def test_non_finite_A_is_refused_before_its_LU(monkeypatch):
+    # the stored values are scanned, not the dense scatter: the entries
+    # row0 does not store are exact zeros
+    matrix = fr.assemble(problems.get_builtin("manufactured-wellposed"), gr.Grid(9, 8))
+    matrix.row0.data[matrix.row0.nnz // 2] = math.nan
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    with pytest.raises(ValueError, match="not finite"):
+        fr.factor(matrix)
+    assert matrix.factors == {}
+
+
 # --- residual ---------------------------------------------------------------
 
 
