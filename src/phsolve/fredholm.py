@@ -14,24 +14,25 @@ the DFT splits it into nt blocks of size n * nx, conjugate in pairs.
 Any other A is its own one block.  Assembly stores only block-row 0 of
 A, the rows at t-node 0, which is all of A in the one-block case and
 1 / nt of it otherwise, so an autonomous problem can pass the size at
-which the whole of A would no longer fit; it is held sparse (CSR), as
-A is a few percent nonzero.  `OperatorMatrix.blocks` derives the blocks
-from it once per assembled matrix, and `OperatorMatrix.block_sigma`
-their singular values, for the decision and the branch alike; A itself
-is expanded only when read.  The nt // 2 + 1 distinct Fourier blocks
-are decided from their pooled singular values; the one block from
-sigma_max (which scales the default tau) and sigma_min, by Lanczos runs
-on the Gram A^T A through the stored sparse A, for its largest and its
-smallest eigenvalue.  As K is compact, A^T A is the identity less a
-compact operator, and for a well-posed A its smallest eigenvalue sits
-apart from the cluster at 1: there the run certifies sigma_min, and A
-is not factored to decide.  An uncertified sigma_min comes from a third
-run, on the LU factors, from the eigenvector the second gave.  The LU,
+which the whole of A would no longer fit; it is assembled straight into
+sparse (CSR) storage, with no dense copy, as A is a few percent
+nonzero.  `OperatorMatrix.blocks` derives the blocks from it once per
+assembled matrix, and `OperatorMatrix.block_sigma` their singular
+values, for the decision and the branch alike; A itself is expanded
+only when read.  The nt // 2 + 1 distinct Fourier blocks are decided
+from their pooled singular values; the one block from sigma_max (which
+scales the default tau) and sigma_min, by Lanczos runs on the Gram
+A^T A through the stored sparse A, for its largest and its smallest
+eigenvalue.  As K is compact, A^T A is the identity less a compact
+operator, and for a well-posed A its smallest eigenvalue sits apart
+from the cluster at 1: there the run certifies sigma_min, and A is not
+factored to decide.  An uncertified sigma_min comes from a third run,
+on the LU factors, from the eigenvector the second gave.  The LU,
 taken by the decision or else for the solve, overwrites A scattered
-dense, from then on the one dense N x N held; only an A over a sixth
-nonzero is scattered before, for its Gram products, where dense BLAS
-beats the sparse product, and that scatter is held for the LU.  A
-value at or below tau counts as zero, and tau is never below
+dense, the one dense N x N held; only an A over a sixth nonzero is
+scattered before, for its Gram products, where dense BLAS beats the
+sparse product, and that scatter is held for the LU.  A value at or
+below tau counts as zero, and tau is never below
 N * eps * sigma_max, numpy's `matrix_rank` tolerance, under which a
 value is round-off.  After the decision one pass handles every block by
 the values the decision saw of it: a block with none of them zero is
@@ -111,11 +112,11 @@ class OperatorMatrix:
     """A = I - K with the discretized forcing, plus provenance.
 
     A is stored as its block-row 0, row0, a scipy CSR array of shape
-    (N // period, N), where period is `operators.period` of the problem:
-    with period nt row0 holds the rows (component, x-node) at t-node 0,
-    and row (m, q) of A is row m with every t-index moved by q; with
-    period 1, row0 is A, scattered dense for each LAPACK call, which
-    overwrites it (see `_dense`).
+    (N // period, N), where period is `operators.period` of the problem,
+    built by `assemble` without a dense copy: with period nt row0 holds
+    the rows (component, x-node) at t-node 0, and row (m, q) of A is row
+    m with every t-index moved by q; with period 1, row0 is A, scattered
+    dense only for each LAPACK call, which overwrites it (see `_dense`).
     """
 
     row0: object  # scipy.sparse.csr_array
@@ -191,7 +192,7 @@ class OperatorMatrix:
         """The singular values of each block in `blocks`, descending,
         computed once, on first use."""
         if self.period == 1:
-            return [svdvals(self.row0.toarray(order="F"), overwrite_a=True)]
+            return [svdvals(_dense(self), overwrite_a=True)]
         return [svdvals(b) for b in self.blocks[0]]
 
 
@@ -199,19 +200,19 @@ def assemble(p, grid):
     """Collocate I - K on the grid nodes, storing block-row 0 of A (see
     `OperatorMatrix`) and the forcing at every node.
 
-    Each block (component j, x-node i) fills its rows of row0, all nt of
-    them with period 1 and its t = 0 row with period nt: one bincount over
-    the keys q * N + col sums the weights from stencil_block, which
-    computes them a run of x-nodes at a time, into place in a dense row0,
-    which is kept as CSR.  The forcing is apply_F's, on each run's curves
-    as built for stencil_block.
+    Each block (component j, x-node i) has its rows of row0, all nt of
+    them with period 1 and its t = 0 row with period nt.  np.add.at sums
+    the weights from stencil_block, which computes them a run of x-nodes
+    at a time, into one slab of those rows, reused by every block; the
+    identity added, its nonzeros are kept as the block's CSR rows.  The
+    forcing is apply_F's, on each run's curves as built for stencil_block.
 
-    The dense entries count against DENSE_LIMIT**2: with period 1, N * N,
-    first the dense row0 here, then the LU factors; with period nt, the
-    N * M of row0 expanded for its rfft and the nt // 2 + 1 complex M x M
-    blocks derived from it, three times over, since a block that
-    `solve_alternative` solves keeps its LU factors, and one that it
-    decomposes two SVD factors.
+    The dense entries the alternative holds count against DENSE_LIMIT**2:
+    with period 1, the N * N of A scattered for its LU (see `_dense`);
+    with period nt, the N * M of row0 expanded for its rfft and the
+    nt // 2 + 1 complex M x M blocks derived from it, three times over,
+    since a block that `solve_alternative` solves keeps its LU factors,
+    and one that it decomposes two SVD factors.
     """
     from scipy.sparse import csr_array
 
@@ -219,37 +220,35 @@ def assemble(p, grid):
     nt, period = grid.nt, caches.period
     size = p.n * grid.nx * nt
     height = size // period
-    held = size * size
-    if period != 1:
-        held = height * size + 3 * 2 * (nt // 2 + 1) * height * height
+    held = size * size if period == 1 else height * size + 3 * 2 * (nt // 2 + 1) * height**2
     if held > DENSE_LIMIT**2:
         raise CapacityError(
             f"dense system of size {size} takes {held} entries, over the cap "
             f"of {DENSE_LIMIT}**2; coarsen the grid"
         )
     rows = nt // period  # the traced rows of one block
-    row0 = np.zeros((height, size))
+    slab = np.zeros(rows * size)  # one block's rows of row0, flat
     row_keys = np.arange(rows)[:, None] * size
+    # stored row m is A's row m * period: its unit sits in column m * period
+    unit_keys = np.arange(rows) * (size + period)
+    counts, indices, data = np.zeros(height + 1, np.int32), [], []
     rhs = np.empty((p.n, grid.nx, nt))
     for j in range(1, p.n + 1):
         for nodes in caches.runs(j):
             run = caches.run_curve(j, nodes)
             for i, (cols, weights) in zip(nodes, stencil_block(p, grid, caches, j, nodes, run)):
-                block = (j - 1) * grid.nx + i
+                first = ((j - 1) * grid.nx + i) * rows  # the block's first stored row
                 # summing the negated weights gives -K bit for bit
-                keys = (row_keys + cols).ravel()
-                minus_k = np.bincount(keys, -weights.ravel(), minlength=rows * size)
-                row0[block * rows : (block + 1) * rows] = minus_k.reshape(rows, size)
+                np.add.at(slab, (row_keys + cols).ravel(), -weights.ravel())
+                slab[unit_keys + first * period] += 1.0
+                kept = np.flatnonzero(slab != 0.0)  # by a mask: faster than on the floats
+                counts[first + 1 : first + rows + 1] = np.bincount(kept // size, minlength=rows)
+                indices.append((kept % size).astype(np.int32))
+                data.append(slab[kept])
+                slab[kept] = 0.0  # zeroed for the next block
             rhs[j - 1, nodes.start : nodes.stop] = apply_F(p, grid, caches, run)
-    # the identity: stored row m is A's row m * period, so its unit sits
-    # in column m * period
-    row0[np.arange(height), np.arange(height) * period] += 1.0
-    # kept by a mask: scipy's own conversion, csr_array(row0), scans the
-    # dense values more slowly (37 against 12 ms at N = 2112, two cores)
-    nonzero = np.flatnonzero(row0 != 0.0)
-    indptr = np.searchsorted(nonzero, np.arange(height + 1) * size).astype(np.int32)
-    indices = (nonzero % size).astype(np.int32)
-    row0 = csr_array((row0.ravel()[nonzero], indices, indptr), shape=(height, size))
+    indptr = np.cumsum(counts, dtype=np.int32)
+    row0 = csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(height, size))
     return OperatorMatrix(row0, rhs.reshape(-1), grid, p, period)
 
 
@@ -258,10 +257,8 @@ def factor(matrix, k=0):
     and singular_spectrum: scipy's lu_factor, taken on first use and kept
     in `OperatorMatrix.factors`.  With period 1 they overwrite A scattered
     dense (see `_dense`), the one dense copy of A the alternative makes
-    unless it decomposes A.  That A is checked finite on its stored
-    values, which is the same check as LAPACK's on the scatter, since the
-    entries row0 does not store are exact zeros, and scans a few percent
-    of the entries.
+    unless it decomposes A.  That A is checked finite on its stored values
+    alone, as LAPACK would check the scatter: the others are exact zeros.
 
     An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
@@ -314,9 +311,6 @@ def singular_spectrum(matrix, edges=False):
         except Exception as err:
             raise SpectrumError(f"singular value computation failed: {err}") from err
 
-    # the Gram products read A as stored, sparse, unless over a sixth of it
-    # is nonzero, where a gemv pair on its dense scatter is faster; that
-    # scatter is held for the LU to overwrite
     a = None
     if matrix.row0.nnz > matrix.size**2 / 6:
         a = matrix.scatter = _dense(matrix)
@@ -335,7 +329,7 @@ def singular_spectrum(matrix, edges=False):
     start = np.random.default_rng(0).standard_normal(matrix.size)
     # sigma_max only scales tau and its round-off floor: at tol 1e-8 it
     # agrees with tol 1e-12's to 8e-16, in 10 fewer Gram products
-    sigma_max = math.sqrt(_largest_eigenvalue(gram, start, tol=1e-8))
+    sigma_max = math.sqrt(_eigsh(gram, start, return_eigenvectors=False, tol=1e-8)[0])
     smallest, start = _smallest_eigenpair(gram, start)
     if _certified(smallest, sigma_max):
         return np.array([sigma_max, math.sqrt(smallest)])
@@ -344,8 +338,8 @@ def singular_spectrum(matrix, edges=False):
     # from a close start, 8 Lanczos vectors before the first restart take
     # fewer LU solves than ARPACK's default 20; fewer than 8 stall on a
     # cluster at sigma_min, as levy-pass has
-    sigma_min = 1.0 / math.sqrt(_largest_eigenvalue(inverse_gram, start, tol=1e-12, ncv=8))
-    return np.array([sigma_max, sigma_min])
+    largest = _eigsh(inverse_gram, start, return_eigenvectors=False, tol=1e-12, ncv=8)[0]
+    return np.array([sigma_max, 1.0 / math.sqrt(largest)])
 
 
 def _pooled(per_block, multiplicity):
@@ -362,16 +356,21 @@ def _decide(matrix):
 
 def _eigsh(matvec, start, **options):
     """scipy's eigsh (ARPACK) for one eigenpair of the symmetric operator
-    matvec, from the given start vector."""
+    matvec, from start.  A product that is not finite (a finite A's Gram
+    can overflow) stops the run before ARPACK's LAPACK calls read it and
+    print to the terminal.  Any failure raises SpectrumError, from
+    ArpackNoConvergence when the run did not converge."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    op = LinearOperator((start.size, start.size), matvec=matvec, dtype=float)
-    return eigsh(op, k=1, v0=start, **options)
+    def checked(v):
+        out = matvec(v)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("a Lanczos product with A^T A or its inverse is not finite")
+        return out
 
-
-def _largest_eigenvalue(matvec, start, **options):
+    op = LinearOperator((start.size, start.size), matvec=checked, dtype=float)
     try:
-        return float(_eigsh(matvec, start, return_eigenvectors=False, **options)[0])
+        return eigsh(op, k=1, v0=start, **options)
     except Exception as err:
         raise SpectrumError(f"singular value computation failed: {err}") from err
 
@@ -390,10 +389,10 @@ def _smallest_eigenpair(gram, start):
     options = dict(which="SA", tol=1e-13, maxiter=4, ncv=min(24, start.size))
     try:
         values, vectors = _eigsh(gram, start, **options)
-    except ArpackNoConvergence:
+    except SpectrumError as err:
+        if not isinstance(err.__cause__, ArpackNoConvergence):
+            raise
         return math.nan, start
-    except Exception as err:
-        raise SpectrumError(f"singular value computation failed: {err}") from err
     return float(values[0]), vectors[:, 0]
 
 

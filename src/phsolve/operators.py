@@ -31,7 +31,7 @@ from stencil_block, sums them into dense weight rows, one per
 (component, x-node) the block reads, and correlates those with u
 circularly in t through the rfft.  stencil_block cuts each block's
 columns out of the parts and concatenates them into explicit weights,
-which assembly scatters into block-row 0 of A.  apply_F integrates the
+which assembly sums into block-row 0 of A.  apply_F integrates the
 forcing over the same runs, one constant per time node, also for period
 nt, where it is integrated along the shifted row-0 curves; assembly
 stores it as the right-hand side, integrating K and F along each run's

@@ -295,6 +295,27 @@ def test_out_of_memory_exits_one(tmp_path):
     assert not (tmp_path / "residual.json").exists()
 
 
+def test_overflowing_gram_exits_one(tmp_path):
+    # A is finite, but r = exp(709 x) puts entries near 1e308 in it, so its
+    # Gram products overflow; ARPACK's LAPACK calls printed "DLASCL" from
+    # Fortran when handed them, so the noise is looked for in a subprocess
+    path = tmp_path / "gram.json"
+    data = to_dict(problems.pure_forcing())
+    data["a"] = ["1+0*t"]
+    data["r"] = [["exp(709*x)"]]
+    data["f"] = ["1"]
+    path.write_text(json.dumps(data))
+    argv = ["solve", "--problem", str(path), "--nx", "9", "--nt", "8", "--out", str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-m", "phsolve", *argv], env=src_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "not finite" in run.stderr
+    assert "DLASCL" not in run.stdout + run.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_residual_without_exact_exits_one(tmp_path, capsys):
     code = run(tmp_path, "residual", "--builtin", "pure-forcing")
     assert code == 1

@@ -765,11 +765,27 @@ def test_autonomous_apply_matches_dense_rows(case, shape):
         assert np.any(want[0, 0] != 0.0)
 
 
+def test_assembly_holds_no_dense_copy_of_A():
+    # assembly sums each block's weights into a reused slab of its rows and
+    # keeps the nonzeros: its peak is a fraction of one dense N x N, where
+    # scattering A dense and then keeping it sparse took 1.27 of one
+    p = problems.get_builtin("manufactured-wellposed")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        matrix = fr.assemble(p, gr.Grid(33, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.period == 1
+    assert peak <= 0.5 * 8 * matrix.size**2
+
+
 def test_one_block_solve_holds_one_dense_copy_of_A():
-    # A is stored sparse, and its LU factors overwrite the one dense
-    # scatter of it that the decision makes: assembly and a one-block
-    # solve hold one dense N x N at a time, near 8 N^2 bytes, where A and
-    # its LU copy took twice that
+    # A is assembled and stored sparse, and its LU factors overwrite the one
+    # dense scatter of it that the decision makes: a one-block solve holds
+    # one dense N x N at a time, near 8 N^2 bytes, where A and its LU copy
+    # took twice that
     p = problems.get_builtin("manufactured-wellposed")
     tracemalloc.start()
     try:
