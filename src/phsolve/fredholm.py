@@ -201,11 +201,15 @@ def assemble(p, grid):
     `OperatorMatrix`) and the forcing at every node.
 
     Each block (component j, x-node i) has its rows of row0, all nt of
-    them with period 1 and its t = 0 row with period nt.  np.add.at sums
-    the weights from stencil_block, which computes them a run of x-nodes
-    at a time, into one slab of those rows, reused by every block; the
-    identity added, its nonzeros are kept as the block's CSR rows.  The
-    forcing is apply_F's, on each run's curves as built for stencil_block.
+    them with period 1 and its t = 0 row with period nt.  stencil_block
+    computes the weights a run of x-nodes at a time: np.add.at sums the
+    block's sparse weights (R, B, H) into one slab of those rows, reused
+    by every block, and its dense G weights on each component k are then
+    subtracted from the slab's columns of u_k as they are formed, one
+    block at a time, which adds every term in the order of one add.at
+    over all of them.  The identity added, the slab's nonzeros are kept
+    as the block's CSR rows.  The forcing is apply_F's, on each run's
+    curves as built for stencil_block.
 
     The dense entries the alternative holds count against DENSE_LIMIT**2:
     with period 1, the N * N of A scattered for its LU (see `_dense`);
@@ -227,7 +231,9 @@ def assemble(p, grid):
             f"of {DENSE_LIMIT}**2; coarsen the grid"
         )
     rows = nt // period  # the traced rows of one block
+    width = grid.nx * nt  # the columns of one component
     slab = np.zeros(rows * size)  # one block's rows of row0, flat
+    view = slab.reshape(rows, size)
     row_keys = np.arange(rows)[:, None] * size
     # stored row m is A's row m * period: its unit sits in column m * period
     unit_keys = np.arange(rows) * (size + period)
@@ -236,10 +242,17 @@ def assemble(p, grid):
     for j in range(1, p.n + 1):
         for nodes in caches.runs(j):
             run = caches.run_curve(j, nodes)
-            for i, (cols, weights) in zip(nodes, stencil_block(p, grid, caches, j, nodes, run)):
+            # not bound to a name, so the run's stencils are freed with the
+            # loop, before the next run's are built
+            for i, (cols, weights, dense) in zip(
+                nodes, stencil_block(p, grid, caches, j, nodes, run)
+            ):
                 first = ((j - 1) * grid.nx + i) * rows  # the block's first stored row
-                # summing the negated weights gives -K bit for bit
+                # summing the negated weights, then subtracting G's on the
+                # columns of u_k, gives -K bit for bit
                 np.add.at(slab, (row_keys + cols).ravel(), -weights.ravel())
+                for k, g in dense:
+                    view[:, (k - 1) * width : k * width] -= g
                 slab[unit_keys + first * period] += 1.0
                 kept = np.flatnonzero(slab != 0.0)  # by a mask: faster than on the floats
                 counts[first + 1 : first + rows + 1] = np.bincount(kept // size, minlength=rows)
@@ -282,9 +295,16 @@ def factor(matrix, k=0):
 def _dense(matrix):
     """A one-block A scattered dense in Fortran order, for a LAPACK call to
     overwrite: the scatter the decision's Gram products read, handed over
-    once, or else a fresh one."""
+    once, or else a fresh one.  The fresh one is written from row0's
+    arrays, which hold each entry once; scipy's `toarray` would fill a
+    Fortran-ordered array through a CSC copy of them."""
     a, matrix.scatter = matrix.scatter, None
-    return matrix.row0.toarray(order="F") if a is None else a
+    if a is None:
+        row0 = matrix.row0
+        a = np.zeros(row0.shape, order="F")
+        rows = np.repeat(np.arange(row0.shape[0], dtype=row0.indices.dtype), np.diff(row0.indptr))
+        a[rows, row0.indices] = row0.data
+    return a
 
 
 def singular_spectrum(matrix, edges=False):

@@ -18,26 +18,31 @@ The quadrature of each piece of K = R + B + G + H is written once, over
 a run of consecutive x-nodes of one component (CurveCache.runs): the
 run's curve samples are concatenated (CurveCache.run_curve, a RunCurve
 held only while its run is processed), so the x- and t-stencils and
-each coefficient take one evaluation for the whole run.  One pass over a run
-(_run_parts) yields the weights of all four pieces on the run's blocks
-(component j, x-node i) in parts (cols, weights, bounds): equal-shaped
-arrays whose leading axis is the traced time-node row q, with
-weights[q, ...] acting on the flattened node indices cols[q, ...], and
-columns bounds[b]:bounds[b + 1] belonging to the run's b-th block.
+each coefficient take one evaluation for the whole run.  One pass over a
+run (_run_parts) yields the weights of R, B and H on the run's blocks
+(component j, x-node i) in sparse parts (cols, weights, bounds):
+equal-shaped arrays whose leading axis is the traced time-node row q,
+with weights[q, ...] acting on the flattened node indices cols[q, ...],
+and columns bounds[b]:bounds[b + 1] belonging to the run's b-th block.
+G reads every node of u_k from every curve sample, so its weights are
+dense, nx * nt per row and component; the pass gives them block by
+block instead, formed only as each block is reached (_g_parts), and
+they do not count towards a run's length.
 apply_K applies them to concrete grid values without storing K.  With
-every row traced it contracts each part against u by a gather and sums
-each block's columns.  With row 0 alone it takes each block's weights
-from stencil_block, sums them into dense weight rows, one per
-(component, x-node) the block reads, and correlates those with u
-circularly in t through the rfft.  stencil_block cuts each block's
-columns out of the parts and concatenates them into explicit weights,
-which assembly sums into block-row 0 of A.  apply_F integrates the
-forcing over the same runs, one constant per time node, also for period
-nt, where it is integrated along the shifted row-0 curves; assembly
-stores it as the right-hand side, integrating K and F along each run's
-curves as it builds them.  Neither needs an assembled matrix, so
-the residual of a candidate solution also runs on grids past the dense
-cap.
+every row traced it contracts each sparse part against u by a gather
+and sums each block's columns, then adds each block's G weights against
+u_k.  With row 0 alone it takes each block's weights from
+stencil_block, sums them into dense weight rows, one per (component,
+x-node) the block reads, and correlates those with u circularly in t
+through the rfft.  stencil_block cuts each block's columns out of the
+sparse parts and concatenates them into explicit weights, with the
+block's G weights alongside; assembly sums both into block-row 0 of A.
+apply_F integrates the forcing over the same runs, one constant per
+time node, also for period nt, where it is integrated along the shifted
+row-0 curves; assembly stores it as the right-hand side, integrating K
+and F along each run's curves as it builds them.  Neither needs an
+assembled matrix, so the residual of a candidate solution also runs on
+grids past the dense cap.
 """
 
 from __future__ import annotations
@@ -142,14 +147,14 @@ class CurveCache:
     def runs(self, j):
         """The x-nodes of component j cut into runs, ranges of consecutive
         nodes that tile 0 .. nx - 1 in order: each run's curves hold at
-        most RUN_SAMPLES (row, sample) pairs, or it is one node.  A live G
-        counts nx * nt samples more per node, the width of its weights
-        whatever the curve's length."""
-        nx, nt = self.grid.nx, self.grid.nt
-        width = nx * nt if _live(self.p.volterra_kernels[j - 1]) else 0
+        most RUN_SAMPLES (row, sample) pairs, or it is one node.  Only the
+        curve samples count, which the parts of R, B and H and the forcing
+        take: G's weights, nx * nt per traced row whatever the curve's
+        length, are formed one block at a time (see `_g_parts`)."""
+        nx, rows = self.grid.nx, self.grid.nt // self.period
         out, start, held = [], 0, 0
         for i in range(nx):
-            size = nt // self.period * (len(self.curve(j, i).xi) + width)
+            size = rows * len(self.curve(j, i).xi)
             if i > start and held + size > RUN_SAMPLES:
                 out.append(range(start, i))
                 start, held = i, 0
@@ -297,60 +302,67 @@ def _h_parts(p, grid, j, run, t_stencil):
             yield base + qn, C * wn, run.bounds
 
 
-def _g_parts(p, grid, caches, j, nodes, run, t_stencil):
+def _g_parts(p, grid, caches, run, t_stencil):
     """G: the spatial integral (Volterra over [0, xi] or full-range) at
-    each curve sample, integrated along the curve.  Parts (rows, nx * nt),
-    one per block and component k, with bounds that give the block all of
-    it: the weight on u_k(x_p, t_r), summed over the curve samples that
-    read it (by one matrix product with the cubic t-interpolation).  Per
-    t-node, the unsummed weights would take (rows, S, nx), with each column
-    repeated along the curve; over the run, even the summed ones would take
-    (rows, blocks, nx * nt) at once."""
-    row = p.volterra_kernels[j - 1]
+    each curve sample, integrated along the curve.  One iterable per block
+    of the run, yielding (k, W) for each live component k: W of shape
+    (rows, nx * nt) is the weight on u_k(x_p, t_r), flattened as (p, r),
+    summed over the curve samples that read it (by one matrix product with
+    the cubic t-interpolation).  Dense, so it is kept out of the sparse
+    parts: a block's weights are formed as it is iterated, and no run
+    holds them.  Per t-node, the unsummed weights would take (rows, S,
+    nx), with each column repeated along the curve.  With no live
+    component the iterables are empty and hold nothing of the run."""
+    row = p.volterra_kernels[run.j - 1]
     live = _live(row)
     if not live:
-        return
-    nt, nx = grid.nt, grid.nx
+        return [()] * len(run.nodes)
+    nt = grid.nt
     rows = run.times.shape[0]
-    t_nodes, t_weights = t_stencil()
-    cols = np.broadcast_to(np.arange(nx * nt), (rows, nx * nt))
-    for b, i in enumerate(nodes):
+
+    @functools.cache
+    def interp():
+        # interp[q, s, r]: weight of t-node r at sample time (q, s), for
+        # the whole run; the four nodes of one sample are distinct since
+        # nt >= 4
+        t_nodes, t_weights = t_stencil()
+        out = np.zeros((rows, len(run.xi), nt))
+        np.put_along_axis(
+            out, np.moveaxis(t_nodes, 0, -1), np.moveaxis(t_weights, 0, -1), axis=2
+        )
+        return out
+
+    def block(b, i):
         lo, hi = run.bounds[b], run.bounds[b + 1]
         if lo == hi:
-            continue
-        own = np.where(np.arange(len(nodes) + 1) > b, nx * nt, 0)
-        times, cw = run.times[:, lo:hi], run.cw[:, lo:hi]
-        # interp[q, s, r]: weight of t-node r at sample time (q, s); the
-        # four nodes of one sample are distinct since nt >= 4
-        interp = np.zeros((rows, hi - lo, nt))
-        np.put_along_axis(
-            interp,
-            np.moveaxis(t_nodes[:, :, lo:hi], 0, -1),
-            np.moveaxis(t_weights[:, :, lo:hi], 0, -1),
-            axis=2,
-        )
-        wi = caches.inner_weights(j, i)
+            return
+        times = run.times[:, lo:hi]
+        # the same for every k: (-cw) wi, then times each k's gv
+        scaled = (-run.cw[:, lo:hi])[:, :, None] * caches.inner_weights(run.j, i)[None, :, :]
         for k in live:
             gv = ex.evaluate(row[k - 1], grid.xs[None, None, :], times[:, :, None])
-            W3 = (-cw)[:, :, None] * wi[None, :, :] * gv
-            weights = np.swapaxes(W3, 1, 2) @ interp
-            yield (k - 1) * nx * nt + cols, weights.reshape(rows, -1), own
+            weights = np.swapaxes(scaled * gv, 1, 2) @ interp()[:, lo:hi]
+            yield k, weights.reshape(rows, -1)
+
+    return [block(b, i) for b, i in enumerate(run.nodes)]
 
 
 def _run_parts(p, grid, caches, run):
-    """The parts of K on the blocks of a run (see `RunCurve`), in the order
-    R, B, H, G in which assembly sums a matrix entry's terms.  B, H and G
-    share the run's quadrature weights and the cubic t-stencil of its
-    samples, computed on first use and kept only while the run is
-    processed."""
-    j = run.j
-    yield from _r_parts(p, grid, j, run.curves)
-    if not len(run.xi):
-        return
+    """The parts of K on the blocks of a run (see `RunCurve`): the sparse
+    parts of R, B and H, in the order in which assembly sums a matrix
+    entry's terms, and G's dense weights, one iterable per block (see
+    `_g_parts`), whose terms come after them.  B, H and G share the run's
+    quadrature weights and the cubic t-stencil of its samples, computed on
+    first use and kept only while the run is processed."""
     t_stencil = functools.cache(lambda: cubic_t_stencil(grid, run.times))
-    yield from _b_parts(p, grid, j, run, t_stencil)
-    yield from _h_parts(p, grid, j, run, t_stencil)
-    yield from _g_parts(p, grid, caches, j, run.nodes, run, t_stencil)
+
+    def sparse():
+        yield from _r_parts(p, grid, run.j, run.curves)
+        if len(run.xi):
+            yield from _b_parts(p, grid, run.j, run, t_stencil)
+            yield from _h_parts(p, grid, run.j, run, t_stencil)
+
+    return sparse(), _g_parts(p, grid, caches, run, t_stencil)
 
 
 def _run_forcing(p, grid, caches, run):
@@ -375,27 +387,31 @@ def _run_forcing(p, grid, caches, run):
 
 def apply_K(p, grid, u, caches=None):
     """K = R + B + G + H applied to u, one run of blocks at a time.  With
-    every time node traced (period 1), each part of a run is contracted
-    against u by a gather and summed over each block's columns.  With row
-    0 alone (period nt), row q of a block is row 0 with its t-indices
-    moved by q, so (Ku)_j(x_i, t_q) is sum_{c, r} W[c, r] u[c, r + q] for
-    the block's row-0 weights W of shape (n * nx, nt): a circular
-    correlation in t, which the rfft turns into one product per frequency,
-    sum_c conj(W_hat[c]) u_hat[c].  Only the rows c the block reads are
+    every time node traced (period 1), each sparse part of a run is
+    contracted against u by a gather and summed over each block's
+    columns, and each block's G weights against u_k.  With row 0 alone
+    (period nt), row q of a block is row 0 with its t-indices moved by q,
+    so (Ku)_j(x_i, t_q) is sum_{c, r} W[c, r] u[c, r + q] for the block's
+    row-0 weights W of shape (n * nx, nt): a circular correlation in t,
+    which the rfft turns into one product per frequency, sum_c
+    conj(W_hat[c]) u_hat[c].  Only the rows c the block reads are
     transformed; the others are zero."""
     caches = caches if caches is not None else CurveCache(p, grid)
     out = zeros(grid, p.n)
-    nt = grid.nt
+    nt, width = grid.nt, grid.nx * grid.nt
     if caches.period == 1:
         flat = u.values.reshape(-1)
         for j in range(1, p.n + 1):
             for nodes in caches.runs(j):
-                run = caches.run_curve(j, nodes)
-                for cols, weights, bounds in _run_parts(p, grid, caches, run):
+                parts, dense = _run_parts(p, grid, caches, caches.run_curve(j, nodes))
+                for cols, weights, bounds in parts:
                     terms = weights * flat[cols]
                     for i, lo, hi in zip(nodes, bounds[:-1], bounds[1:]):
                         if lo < hi:
                             out.values[j - 1, i] += terms[:, lo:hi].sum(1)
+                for i, g in zip(nodes, dense):
+                    for k, weights in g:
+                        out.values[j - 1, i] += (weights * flat[(k - 1) * width : k * width]).sum(1)
         return out
     u_hat = np.fft.rfft(u.values.reshape(-1, nt), axis=-1)
     out_hat = np.zeros((p.n, grid.nx, u_hat.shape[1]), dtype=complex)
@@ -403,12 +419,22 @@ def apply_K(p, grid, u, caches=None):
     where = np.zeros(len(u_hat), dtype=np.int64)
     for j in range(1, p.n + 1):
         for nodes in caches.runs(j):
-            for i, ((cols,), (weights,)) in zip(nodes, stencil_block(p, grid, caches, j, nodes)):
+            for i, ((cols,), (weights,), dense) in zip(
+                nodes, stencil_block(p, grid, caches, j, nodes)
+            ):
+                # G's weights read every row of u_k, (component k, x-node)
+                dense = [(np.arange((k - 1) * grid.nx, k * grid.nx), g) for k, g in dense]
                 read = cols // nt
-                touched = np.flatnonzero(np.bincount(read, minlength=len(u_hat)))
+                hits = np.bincount(read, minlength=len(u_hat))
+                for c, _ in dense:
+                    hits[c] += 1
+                touched = np.flatnonzero(hits)
                 where[touched] = np.arange(len(touched))
                 keys = where[read] * nt + cols % nt
                 row = np.bincount(keys, weights, minlength=len(touched) * nt).reshape(-1, nt)
+                row = row.astype(float, copy=False)  # with no keys, bincount counts in ints
+                for c, g in dense:
+                    row[where[c]] += g.reshape(-1, nt)
                 w_hat = np.fft.rfft(row, axis=-1).conj()
                 out_hat[j - 1, i] = np.einsum("ck,ck->k", w_hat, u_hat[touched])
     out.values[:] = np.fft.irfft(out_hat, n=nt, axis=-1)
@@ -438,16 +464,21 @@ def stencil_block(p, grid, caches, j, nodes, run=None):
     flattened node indices.  run is the run's curves, from
     CurveCache.run_curve(j, nodes), which are built here when not given.
 
-    Returns one (cols, weights) per node, each of shape (rows, M): the
-    block's columns of the run's parts, concatenated part by part, with
-    row q holding the terms of (Ku)_j(x_i, t_q); a column may repeat
-    within a row, and its weights add.  rows is nt, or 1 when the period
-    is nt: row q is then row 0 with its t-indices moved by q.
+    Returns one (cols, weights, dense) per node.  cols and weights, each
+    of shape (rows, M), are the block's columns of the run's sparse parts
+    (R, B and H), concatenated part by part, with row q holding the terms
+    of (Ku)_j(x_i, t_q); a column may repeat within a row, and its
+    weights add.  dense yields the block's G weights, (k, W) with W of
+    shape (rows, nx * nt) on the nodes of u_k (see `_g_parts`), whose
+    terms come after the sparse ones; it forms them as it is iterated,
+    once.  rows is nt, or 1 when the period is nt: row q is then row 0
+    with its t-indices moved by q.
     """
     rows = grid.nt // caches.period
     if run is None:
         run = caches.run_curve(j, nodes)
-    parts = list(_run_parts(p, grid, caches, run))
+    parts, dense = _run_parts(p, grid, caches, run)
+    parts = list(parts)
     out = []
     for b in range(len(nodes)):
         cols = [np.zeros((rows, 0), dtype=np.int64)]
@@ -455,5 +486,5 @@ def stencil_block(p, grid, caches, j, nodes, run=None):
         for c, w, bounds in parts:
             cols.append(c[:, bounds[b] : bounds[b + 1]])
             weights.append(w[:, bounds[b] : bounds[b + 1]])
-        out.append((np.concatenate(cols, axis=1), np.concatenate(weights, axis=1)))
+        out.append((np.concatenate(cols, axis=1), np.concatenate(weights, axis=1), dense[b]))
     return out

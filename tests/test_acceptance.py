@@ -216,8 +216,8 @@ def test_criterion_07_linear_algebra_consistency(resonant_problem, manufactured_
         flat = u.values.reshape(-1)
         for j, i, q in nodes:
             # the autonomous demo's blocks hold row 0; row q reads its
-            # t-indices moved by q
-            (cols,), (weights,) = blocks[(j, i)]
+            # t-indices moved by q.  It has no G, whose weights come apart
+            (cols,), (weights,), _ = blocks[(j, i)]
             moved = cols - cols % grid.nt + (cols + q) % grid.nt
             want = ku.values[j - 1, i, q]
             worst = max(worst, abs(weights @ flat[moved] - want) / max(1.0, abs(want)))

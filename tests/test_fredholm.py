@@ -102,15 +102,14 @@ def test_assembled_rhs_is_transported_forcing(manufactured_problem, full_problem
         "all-pieces-fredholm",
         "t-free-volterra",
         "t-free-fredholm",
+        "integral-coupling",
     ],
 )
 def test_assembled_matrix_applies_what_the_walk_applies(case, shape, full_problem):
     # given the matrix, the residual is sup|Au - rhs| from its blocks, for
-    # either period; a fresh walk of K and F gives the same value
-    if case.startswith("all-pieces"):
-        p = dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
-    else:
-        p = autonomous_case(case)
+    # either period; a fresh walk of K and F gives the same value.  The
+    # walk adds each block's dense G weights apart from its sparse parts
+    p = run_case(case, full_problem)
     grid = gr.Grid(*shape)
     matrix = fr.assemble(p, grid)
     rng = np.random.default_rng(3)
@@ -674,7 +673,8 @@ def test_autonomous_apply_is_row0_moved_in_t(case, shape):
     want = np.empty_like(got)
     for j in range(1, p.n + 1):
         for i in range(grid.nx):
-            (((cols,), (weights,)),) = op.stencil_block(p, grid, caches, j, range(i, i + 1))
+            (block,) = op.stencil_block(p, grid, caches, j, range(i, i + 1))
+            (cols,), (weights,) = explicit(grid, block)
             for q in range(nt):
                 want[j - 1, i, q] = weights @ flat[cols - cols % nt + (cols + q) % nt]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -682,17 +682,42 @@ def test_autonomous_apply_is_row0_moved_in_t(case, shape):
     assert np.max(np.abs(got - traced)) <= 1e-12 * np.max(np.abs(traced))
 
 
-RUN_CASES = [*problems.BUILTINS, "all-pieces-volterra", "all-pieces-fredholm", "t-free-fredholm"]
+def explicit(grid, block):
+    """A block of stencil_block as one (cols, weights): its G weights as
+    explicit columns on u_k's nodes, after the sparse ones."""
+    cols, weights, dense = block
+    width = grid.nx * grid.nt
+    for k, g in dense:
+        span = np.broadcast_to((k - 1) * width + np.arange(width), g.shape)
+        cols = np.concatenate([cols, span], axis=1)
+        weights = np.concatenate([weights, g], axis=1)
+    return cols, weights
+
+
+# the coupling problem has live R, B, G and H in every row of three
+# components
+RUN_CASES = [
+    *problems.BUILTINS,
+    "all-pieces-volterra",
+    "all-pieces-fredholm",
+    "t-free-fredholm",
+    "integral-coupling",
+]
 
 
 def run_case(case, full_problem):
     if case.startswith("all-pieces"):
         return dataclasses.replace(full_problem, volterra=case.endswith("-volterra"))
+    if case == "integral-coupling":
+        return one_block_case(case)
     return autonomous_case(case)
 
 
 def one_node_runs(p, grid, caches, j):
-    return [op.stencil_block(p, grid, caches, j, range(i, i + 1))[0] for i in range(grid.nx)]
+    return [
+        explicit(grid, op.stencil_block(p, grid, caches, j, range(i, i + 1))[0])
+        for i in range(grid.nx)
+    ]
 
 
 @pytest.mark.parametrize("shape", [(17, 16), (13, 11)])
@@ -714,7 +739,8 @@ def test_run_stencils_are_one_node_stencils(case, shape, full_problem):
             for nodes in runs:
                 got = op.stencil_block(p, grid, caches, j, nodes)
                 assert len(got) == len(nodes)
-                for i, (cols, weights) in zip(nodes, got):
+                for i, block in zip(nodes, got):
+                    cols, weights = explicit(grid, block)
                     assert np.array_equal(cols, alone[i][0])
                     assert np.array_equal(weights, alone[i][1])
 
@@ -781,6 +807,27 @@ def test_assembly_holds_no_dense_copy_of_A():
     assert peak <= 0.5 * 8 * matrix.size**2
 
 
+def test_assembly_holds_no_run_of_G_weights():
+    # G's weights, nx * nt per traced row and component, are formed one
+    # block at a time and subtracted into the slab; the runs of R, B and H
+    # span several nodes.  The tracemalloc peak of assembly on the coupling
+    # problem at 21 x 20 was 10.21 MiB with one-node runs and is 11.07 MiB
+    # with runs of up to RUN_SAMPLES samples, whose sparse parts it holds
+    # with each block's columns; holding G's weights of a whole run took
+    # it to 13.5 MiB, and a dense copy of A is 12 MiB more
+    p = one_block_case("integral-coupling")
+    grid = gr.Grid(21, 20)
+    assert all(len(op.CurveCache(p, grid).runs(j)) < grid.nx for j in range(1, p.n + 1))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fr.assemble(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 2**20
+
+
 def test_one_block_solve_holds_one_dense_copy_of_A():
     # A is assembled and stored sparse, and its LU factors overwrite the one
     # dense scatter of it that the decision makes: a one-block solve holds
@@ -798,6 +845,18 @@ def test_one_block_solve_holds_one_dense_copy_of_A():
     assert peak <= 1.5 * 8 * report.matrix.size**2
 
 
+def counted_dense(scatters):
+    """fr._dense, recording for each call whether it scatters row0 afresh
+    (True) or hands over the scatter the matrix holds (False)."""
+    dense = fr._dense
+
+    def counted(matrix):
+        scatters.append(matrix.scatter is None)
+        return dense(matrix)
+
+    return counted
+
+
 @pytest.mark.parametrize(
     "case, shape, dense_gram",
     [
@@ -811,21 +870,17 @@ def test_one_block_decision_scatters_A_once(monkeypatch, case, shape, dense_gram
     matrix = fr.assemble(one_block_case(case), gr.Grid(*shape))
     assert (matrix.row0.nnz > matrix.size**2 / 6) is dense_gram
     scatters, square = [], []
-    toarray, gemv = type(matrix.row0).toarray, fr._gemv
-
-    def counted_toarray(self, *args, **kwargs):
-        scatters.append(self is matrix.row0)
-        return toarray(self, *args, **kwargs)
+    gemv = fr._gemv
+    monkeypatch.setattr(fr, "_dense", counted_dense(scatters))
 
     def counted_gemv(a, v, trans=0):
         square.append(a.shape == (matrix.size, matrix.size))
         return gemv(a, v, trans)
 
-    monkeypatch.setattr(type(matrix.row0), "toarray", counted_toarray)
     monkeypatch.setattr(fr, "_gemv", counted_gemv)
     report = fr.solve_alternative(matrix)
     assert report.unique
-    assert scatters == [True]
+    assert scatters.count(True) == 1
     assert any(square) is dense_gram
 
 
@@ -1012,17 +1067,11 @@ def test_certified_resonant_one_block_decomposes_the_held_scatter(monkeypatch):
     matrix = fr.assemble(one_block_case("integral-coupling"), gr.Grid(9, 8))
     assert matrix.row0.nnz > matrix.size**2 / 6
     scatters = []
-    toarray = type(matrix.row0).toarray
-
-    def counted_toarray(self, *args, **kwargs):
-        scatters.append(self is matrix.row0)
-        return toarray(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(matrix.row0), "toarray", counted_toarray)
+    monkeypatch.setattr(fr, "_dense", counted_dense(scatters))
     monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
     sigma_max = fr.singular_spectrum(matrix, edges=True)[0]
     report = fr.solve_alternative(matrix, tau=2.0 * sigma_max)
-    assert scatters == [True]
+    assert scatters.count(True) == 1
     assert report.kernel_dim == matrix.size
     assert matrix.scatter is None
 

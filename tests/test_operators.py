@@ -278,33 +278,39 @@ def test_stencil_empty_for_zero_problem():
     p = build()
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(p, grid)
-    ((cols, weights),) = op.stencil_block(p, grid, caches, 1, range(4, 5))
+    ((cols, weights, dense),) = op.stencil_block(p, grid, caches, 1, range(4, 5))
     assert cols.shape == weights.shape == (1, 0)
+    assert list(dense) == []
 
 
 def test_stencil_matches_apply_on_random_functions(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
     nodes = [(1, 0, 0), (1, 4, 3), (1, 8, 7), (2, 0, 5), (2, 4, 0), (2, 8, 2)]
-    blocks = {
-        (j, i): op.stencil_block(full_problem, grid, caches, j, range(i, i + 1))[0]
-        for j, i, _ in nodes
-    }
+    width = grid.nx * grid.nt
+    blocks = {}
+    for j, i, _ in nodes:
+        ((cols, weights, dense),) = op.stencil_block(full_problem, grid, caches, j, range(i, i + 1))
+        # G's dense weights act on all of u_k, after the sparse columns
+        blocks[(j, i)] = cols, weights, list(dense)
+    assert any(len(dense) == 2 for _, _, dense in blocks.values())
     for seed in range(20):
         u = rand_gf(grid, 2, 100 + seed)
         flat = u.values.reshape(-1)
         ku = op.apply_K(full_problem, grid, u, caches)
         for j, i, q in nodes:
-            cols, weights = blocks[(j, i)]
+            cols, weights, dense = blocks[(j, i)]
             want = ku.values[j - 1, i, q]
             got = weights[q] @ flat[cols[q]]
+            for k, g in dense:
+                got += g[q] @ flat[(k - 1) * width : k * width]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_stencil_indices_are_valid_and_unique(full_problem):
     grid = gr.Grid(9, 8)
     caches = op.CurveCache(full_problem, grid)
-    ((cols, weights),) = op.stencil_block(full_problem, grid, caches, 1, range(5, 6))
+    ((cols, weights, _),) = op.stencil_block(full_problem, grid, caches, 1, range(5, 6))
     assert cols[2].size > 0
     assert np.all(cols[2] >= 0) and np.all(cols[2] < 2 * grid.nx * grid.nt)
     assert np.all(np.isfinite(weights[2]))
