@@ -4,7 +4,9 @@ Grammar (tightest first): ^ is right-associative, then unary minus, then
 * and /, then + and -.  So -x^2 means -(x^2).  Variables are exactly x and
 t, the constants pi and e are built in, and the unary functions sin, cos,
 tan, exp, log, sqrt, abs are known.  Number literals must be finite: one
-that overflows a float is refused by the lexer.
+that overflows a float is refused by the lexer.  Nesting deeper than
+MAX_DEPTH levels, each a parenthesis, function call, unary minus or
+exponent, is refused by the parser, which recurses on it.
 
 Evaluation is numpy-aware: x and t may be scalars or broadcastable arrays,
 and the result is a float when both are scalars, otherwise a float array of
@@ -35,6 +37,10 @@ _FUNCTIONS = {
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# the parser takes about five frames a level, so this many stay well
+# inside Python's default recursion limit of 1000
+MAX_DEPTH = 100
 
 
 class LexError(ValueError):
@@ -168,6 +174,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.source_len = source_len
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -204,11 +211,19 @@ class _Parser:
                 return node
 
     def parse_unary(self):
+        # every level of nesting passes through here
         tok = self.peek()
+        if self.depth == MAX_DEPTH:
+            offset = self.source_len if tok is None else tok.pos
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", offset)
+        self.depth += 1
         if tok is not None and tok.kind == "op" and tok.lexeme == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()

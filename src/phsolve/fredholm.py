@@ -27,11 +27,11 @@ eigenvalue.  As K is compact, A^T A is the identity less a compact
 operator, and for a well-posed A its smallest eigenvalue sits apart
 from the cluster at 1: there the run certifies sigma_min, and A is not
 factored to decide.  An uncertified sigma_min comes from a third run,
-on the LU factors, from the eigenvector the second gave.  The LU,
-taken by the decision or else for the solve, overwrites A scattered
-dense, the one dense N x N held; only an A over a sixth nonzero is
-scattered before, for its Gram products, where dense BLAS beats the
-sparse product, and that scatter is held for the LU.  A value at or
+on the LU factors, from the eigenvector the second gave.  The Gram
+products read the CSR: a one-block A is dense only inside a LAPACK
+call, scattered once for that call, which overwrites the scatter (the
+LU, taken by the decision or else for the solve, or the resonant SVD),
+so one dense N x N is held at a time.  A value at or
 below tau counts as zero, and tau is never below
 N * eps * sigma_max, numpy's `matrix_rank` tolerance, under which a
 value is round-off.  After the decision one pass handles every block by
@@ -115,8 +115,9 @@ class OperatorMatrix:
     (N // period, N), where period is `operators.period` of the problem,
     built by `assemble` without a dense copy: with period nt row0 holds
     the rows (component, x-node) at t-node 0, and row (m, q) of A is row
-    m with every t-index moved by q; with period 1, row0 is A, scattered
-    dense only for each LAPACK call, which overwrites it (see `_dense`).
+    m with every t-index moved by q; with period 1, row0 is A, dense only
+    inside a LAPACK call, which overwrites a scatter made for it (see
+    `_dense`).
     """
 
     row0: object  # scipy.sparse.csr_array
@@ -126,9 +127,6 @@ class OperatorMatrix:
     period: int
     # the LU factors of blocks, by index in `blocks`: see `factor`
     factors: dict = field(default_factory=dict, init=False, repr=False)
-    # with period 1, A scattered dense in Fortran order for the decision's
-    # Gram products, held until a LAPACK call overwrites it: see `_dense`
-    scatter: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self):
@@ -268,10 +266,11 @@ def assemble(p, grid):
 def factor(matrix, k=0):
     """LU factors of block k of A (see `OperatorMatrix.blocks`), for solve
     and singular_spectrum: scipy's lu_factor, taken on first use and kept
-    in `OperatorMatrix.factors`.  With period 1 they overwrite A scattered
-    dense (see `_dense`), the one dense copy of A the alternative makes
-    unless it decomposes A.  That A is checked finite on its stored values
-    alone, as LAPACK would check the scatter: the others are exact zeros.
+    in `OperatorMatrix.factors`.  With period 1 they overwrite a scatter
+    of A made for this call (see `_dense`), the one dense copy of A the
+    alternative makes unless it decomposes A.  That A is checked finite on
+    its stored values alone, as LAPACK would check the scatter: the others
+    are exact zeros.
 
     An exactly singular block leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
@@ -293,17 +292,14 @@ def factor(matrix, k=0):
 
 
 def _dense(matrix):
-    """A one-block A scattered dense in Fortran order, for a LAPACK call to
-    overwrite: the scatter the decision's Gram products read, handed over
-    once, or else a fresh one.  The fresh one is written from row0's
-    arrays, which hold each entry once; scipy's `toarray` would fill a
-    Fortran-ordered array through a CSC copy of them."""
-    a, matrix.scatter = matrix.scatter, None
-    if a is None:
-        row0 = matrix.row0
-        a = np.zeros(row0.shape, order="F")
-        rows = np.repeat(np.arange(row0.shape[0], dtype=row0.indices.dtype), np.diff(row0.indptr))
-        a[rows, row0.indices] = row0.data
+    """A one-block A scattered afresh into a dense Fortran-ordered array,
+    for the LAPACK call its caller makes next to overwrite.  It is written
+    from row0's arrays, which hold each entry once; scipy's `toarray` would
+    fill a Fortran-ordered array through a CSC copy of them."""
+    row0 = matrix.row0
+    a = np.zeros(row0.shape, order="F")
+    rows = np.repeat(np.arange(row0.shape[0], dtype=row0.indices.dtype), np.diff(row0.indptr))
+    a[rows, row0.indices] = row0.data
     return a
 
 
@@ -320,10 +316,10 @@ def singular_spectrum(matrix, edges=False):
     third run, for the largest eigenvalue of (A^T A)^-1 = A^-1 A^-T at tol
     1e-12, through the LU factors `factor` takes, from the eigenvector
     the smallest run gave or else from its start; a zero pivot gives
-    sigma_min = 0.  An A over a sixth nonzero takes its Gram products by
-    gemv on its dense scatter instead, which is then held for the LU to
-    overwrite.  A failed factorization raises as itself, a failed Lanczos
-    run or SVD as SpectrumError.
+    sigma_min = 0.  Whatever its density, A is dense here only inside the
+    LU call, which overwrites the scatter made for it.  A failed
+    factorization raises as itself, a failed Lanczos run or SVD as
+    SpectrumError.
     """
     if not edges:
         try:
@@ -331,14 +327,8 @@ def singular_spectrum(matrix, edges=False):
         except Exception as err:
             raise SpectrumError(f"singular value computation failed: {err}") from err
 
-    a = None
-    if matrix.row0.nnz > matrix.size**2 / 6:
-        a = matrix.scatter = _dense(matrix)
-
     def gram(v):
-        if a is None:
-            return apply(matrix, apply(matrix, v), transpose=True)
-        return _gemv(a, _gemv(a, v), 1)
+        return apply(matrix, apply(matrix, v), transpose=True)
 
     def inverse_gram(v):
         return solve(matrix, solve(matrix, v, transpose=True))

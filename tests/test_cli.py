@@ -148,10 +148,14 @@ def test_invalid_problem_data_exits_one(tmp_path, capsys):
     assert "a[1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("a", 5), ("b", [5, 5]), ("b", ["00", "00"])])
+@pytest.mark.parametrize(
+    "key, value",
+    [("a", 5), ("b", [5, 5]), ("b", ["00", "00"]), ("a", ["(" * 300 + "1" + ")" * 300])],
+)
 def test_non_list_problem_data_exits_one(tmp_path, capsys, key, value):
     # a number raised a TypeError traceback; strings of zeros read as a zero
-    # matrix and the solve exited 0
+    # matrix and the solve exited 0; 300 nested parentheses overflowed the
+    # parser's recursion
     path = tmp_path / "not_lists.json"
     data = to_dict(problems.example13())
     data[key] = value

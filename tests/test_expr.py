@@ -11,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phsolve import expr as ex
+from phsolve import problems
+from phsolve.problem import to_dict
 
 from corpus import CORPUS, box_of, diff_ok
 
@@ -111,6 +113,39 @@ def test_parse_empty_source():
 @pytest.mark.parametrize("source", [entry[0] for entry in CORPUS])
 def test_parse_deterministic(source):
     assert ex.parse(source) == ex.parse(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param("(" * 300 + "1" + ")" * 300, id="parens"),
+        pytest.param("-" * 3000 + "1", id="unary-minus"),
+        pytest.param("^".join(["x"] * 500), id="power"),
+        pytest.param("sin(" * 150 + "x" + ")" * 150, id="calls"),
+    ],
+)
+def test_parse_refuses_deep_nesting(source):
+    # the parser recursed about five frames a level and overflowed Python's
+    # stack near 199 levels, with a raw RecursionError
+    with pytest.raises(ex.ParseError, match="nested deeper") as err:
+        ex.parse(source)
+    assert 0 < err.value.offset < len(source)
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    depth = ex.MAX_DEPTH - 1
+    assert ex.evaluate(ex.parse("(" * depth + "x" + ")" * depth), 2.0, 0.0) == 2.0
+    assert ex.evaluate(ex.parse("-" * depth + "x"), 2.0, 0.0) == -2.0
+    with pytest.raises(ex.ParseError, match="nested deeper"):
+        ex.parse("(" * (depth + 1) + "x" + ")" * (depth + 1))
+
+
+@pytest.mark.parametrize("name", sorted(problems.BUILTINS))
+def test_builtin_expressions_parse(name):
+    data = to_dict(problems.get_builtin(name))
+    for key in "abghrf":
+        for entry in np.ravel(np.array(data[key], dtype=object)):
+            ex.parse(entry)
 
 
 # --- evaluation -------------------------------------------------------------
