@@ -4,9 +4,12 @@ Grammar (tightest first): ^ is right-associative, then unary minus, then
 * and /, then + and -.  So -x^2 means -(x^2).  Variables are exactly x and
 t, the constants pi and e are built in, and the unary functions sin, cos,
 tan, exp, log, sqrt, abs are known.  Number literals must be finite: one
-that overflows a float is refused by the lexer.  Nesting deeper than
-MAX_DEPTH levels, each a parenthesis, function call, unary minus or
-exponent, is refused by the parser, which recurses on it.
+that overflows a float is refused by the lexer.  A tree deeper than
+MAX_DEPTH levels is refused by the parser: each parenthesis, function
+call, unary minus, exponent and binary operator on the deepest path
+counts one, so a long chain like x+x+...+x counts as deep as its
+length.  The parser recurses on each nesting level, and the functions
+that walk a tree on each of its levels.
 
 Evaluation is numpy-aware: x and t may be scalars or broadcastable arrays,
 and the result is a float when both are scalars, otherwise a float array of
@@ -38,7 +41,9 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# the parser takes about five frames a level, so this many stay well
+# the parser takes about five frames a nesting level, the tree walkers
+# (_eval, to_string, _diff, substitute) one a level, and a derivative is
+# at most about three times as deep as its tree, so this many stay well
 # inside Python's default recursion limit of 1000
 MAX_DEPTH = 100
 
@@ -174,7 +179,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.source_len = source_len
-        self.depth = 0
+        self.nesting = 0  # the parse_unary calls open on the stack
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -190,49 +195,68 @@ class _Parser:
             raise ParseError(f"expected {expected}, found end of input", self.source_len)
         raise ParseError(f"expected {expected}, found {tok.lexeme!r}", tok.pos)
 
+    def too_deep(self, tok):
+        offset = self.source_len if tok is None else tok.pos
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", offset)
+
+    def deeper(self, tok, *depths):
+        """The depth of a level at tok over children of these depths; past
+        MAX_DEPTH it is refused there."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            self.too_deep(tok)
+        return depth
+
+    # each parse_* returns (node, depth): the levels (see the module
+    # docstring) of the deepest path through the source it read
+
     def parse_sum(self):
-        node = self.parse_term()
+        node, depth = self.parse_term()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "op" and tok.lexeme in "+-":
                 self.advance()
-                node = BinOp(tok.lexeme, node, self.parse_term())
+                right, right_depth = self.parse_term()
+                node, depth = BinOp(tok.lexeme, node, right), self.deeper(tok, depth, right_depth)
             else:
-                return node
+                return node, depth
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, depth = self.parse_unary()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "op" and tok.lexeme in "*/":
                 self.advance()
-                node = BinOp(tok.lexeme, node, self.parse_unary())
+                right, right_depth = self.parse_unary()
+                node, depth = BinOp(tok.lexeme, node, right), self.deeper(tok, depth, right_depth)
             else:
-                return node
+                return node, depth
 
     def parse_unary(self):
-        # every level of nesting passes through here
+        # every level of nesting passes through here; it is refused before
+        # the parser recurses into it
         tok = self.peek()
-        if self.depth == MAX_DEPTH:
-            offset = self.source_len if tok is None else tok.pos
-            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", offset)
-        self.depth += 1
+        if self.nesting == MAX_DEPTH:
+            self.too_deep(tok)
+        self.nesting += 1
         if tok is not None and tok.kind == "op" and tok.lexeme == "-":
             self.advance()
-            node = Neg(self.parse_unary())
+            child, depth = self.parse_unary()
+            node = Neg(child)
         else:
-            node = self.parse_power()
-        self.depth -= 1
-        return node
+            node, depth = self.parse_power()
+        self.nesting -= 1
+        return node, self.deeper(tok, depth)
 
     def parse_power(self):
-        base = self.parse_atom()
+        base, depth = self.parse_atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.lexeme == "^":
             self.advance()
             # right-associative; the exponent may carry its own unary minus
-            return BinOp("^", base, self.parse_unary())
-        return base
+            exponent, exponent_depth = self.parse_unary()
+            return BinOp("^", base, exponent), max(depth, exponent_depth)
+        return base, depth
 
     def parse_atom(self):
         tok = self.peek()
@@ -240,7 +264,7 @@ class _Parser:
             self.fail("a value")
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.lexeme))
+            return Const(float(tok.lexeme)), 0
         if tok.kind == "paren" and tok.lexeme == "(":
             self.advance()
             node = self.parse_sum()
@@ -253,20 +277,20 @@ class _Parser:
             name = tok.lexeme
             self.advance()
             if name in ("x", "t"):
-                return Var(name)
+                return Var(name), 0
             if name in _CONSTANTS:
-                return Const(_CONSTANTS[name])
+                return Const(_CONSTANTS[name]), 0
             if name in _FUNCTIONS:
                 opening = self.peek()
                 if opening is None or opening.lexeme != "(":
                     self.fail(f"'(' after function {name!r}")
                 self.advance()
-                arg = self.parse_sum()
+                arg, depth = self.parse_sum()
                 closing = self.peek()
                 if closing is None or closing.lexeme != ")":
                     self.fail("')'")
                 self.advance()
-                return Call(name, arg)
+                return Call(name, arg), depth
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         self.fail("a value")
 
@@ -275,7 +299,7 @@ def parse(source):
     """Parse source into an expression tree.  Raises LexError or ParseError."""
     tokens = tokenize(source)
     parser = _Parser(tokens, len(source))
-    node = parser.parse_sum()
+    node, _ = parser.parse_sum()
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(

@@ -36,27 +36,36 @@ below tau counts as zero, and tau is never below
 N * eps * sigma_max, numpy's `matrix_rank` tolerance, under which a
 value is round-off.  After the decision one pass handles every block by
 the values the decision saw of it: a block with none of them zero is
-solved through its LU factors (`OperatorMatrix.factors`), and only a
-block with a zero is decomposed by one SVD into real (numerical) kernel
-and cokernel bases, a truncated least-squares solution, and the
+solved (the one block through its LU factors, `OperatorMatrix.lu`), and
+only a block with a zero is decomposed by one SVD into real (numerical)
+kernel and cokernel bases, a truncated least-squares solution, and the
 solvability defect of the forcing.  The residual of that solution is
 sup|Au - rhs|, with Au the one block's sparse product, or taken block
 by block through the same rfft over t as the solve, so no part of K is
-walked after assembly.  From the LU onwards each product and solve is
-one scipy call per block (`apply`, `solve`, `_gemv`): numpy links a
-separate OpenBLAS, and switching to it between scipy calls left each
-library's threads spinning on the cores the other needed.
+walked after assembly.
+
+From the decision on, each path keeps its dense linear algebra in one
+of the two OpenBLAS libraries that numpy and scipy link: switching
+between them left each library's threads spinning on the cores the
+other needed.  The Fourier blocks are small and kept, so every SVD,
+solve and product on them is numpy's (`np.linalg`, `@`), and an
+autonomous problem never loads scipy.linalg.  The one block is
+scattered for LAPACK to overwrite, which numpy's routines cannot do in
+place, so its LU, its solves, its SVD and the products with its SVD
+factors are scipy's (`lu_factor`, `lu_solve`, `svd`, `_gemv`).
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
 
 scipy is imported on first use, inside the functions that call it, so
 importing phsolve loads numpy and phsolve alone, and the commands that
-factor nothing (`residual`, `check-levy`, `list-builtins`) never load
-scipy.linalg, which is about half of a bare process's start.  `svd`,
-`svdvals`, `lu_factor` and `lu_solve` are this module's own names for
-scipy.linalg's, called through the module so that they can be patched
-or traced here.
+factor nothing (`residual`, `check-levy`, `list-builtins`) and those on
+an autonomous problem never load scipy.linalg, which is about half of a
+bare process's start.  `svd`, `svdvals`, `lu_factor` and `lu_solve` are
+this module's own names for the routines it calls, called through the
+module so that they can be patched or traced here: `svd` and `svdvals`
+are numpy's, or scipy.linalg's when the caller hands its array over
+with `overwrite_a=True`.
 """
 
 from __future__ import annotations
@@ -75,16 +84,22 @@ from .operators import CurveCache, apply_F, apply_K, stencil_block
 DENSE_LIMIT = 20000
 
 
-def svd(*args, **options):
+# numpy's LAPACK copies its operand; only scipy's can overwrite a scatter
+# made for the call, which is what a one-block A hands over
+def svd(a, overwrite_a=False):
+    if not overwrite_a:
+        return np.linalg.svd(a)
     from scipy.linalg import svd
 
-    return svd(*args, **options)
+    return svd(a, overwrite_a=True)
 
 
-def svdvals(*args, **options):
+def svdvals(a, overwrite_a=False):
+    if not overwrite_a:
+        return np.linalg.svd(a, compute_uv=False)
     from scipy.linalg import svdvals
 
-    return svdvals(*args, **options)
+    return svdvals(a, overwrite_a=True)
 
 
 def lu_factor(*args, **options):
@@ -125,8 +140,8 @@ class OperatorMatrix:
     grid: Grid
     problem: object
     period: int
-    # the LU factors of blocks, by index in `blocks`: see `factor`
-    factors: dict = field(default_factory=dict, init=False, repr=False)
+    # the LU factors of a one-block A: see `factor`
+    lu: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self):
@@ -188,7 +203,8 @@ class OperatorMatrix:
     @functools.cached_property
     def block_sigma(self):
         """The singular values of each block in `blocks`, descending,
-        computed once, on first use."""
+        computed once, on first use: one `svdvals` call per block, on a
+        scatter of the one block that it overwrites (see `_dense`)."""
         if self.period == 1:
             return [svdvals(_dense(self), overwrite_a=True)]
         return [svdvals(b) for b in self.blocks[0]]
@@ -213,8 +229,8 @@ def assemble(p, grid):
     with period 1, the N * N of A scattered for its LU (see `_dense`);
     with period nt, the N * M of row0 expanded for its rfft and the
     nt // 2 + 1 complex M x M blocks derived from it, three times over,
-    since a block that `solve_alternative` solves keeps its LU factors,
-    and one that it decomposes two SVD factors.
+    which leaves room for the two SVD factors of every block that
+    `solve_alternative` decomposes.
     """
     from scipy.sparse import csr_array
 
@@ -263,32 +279,27 @@ def assemble(p, grid):
     return OperatorMatrix(row0, rhs.reshape(-1), grid, p, period)
 
 
-def factor(matrix, k=0):
-    """LU factors of block k of A (see `OperatorMatrix.blocks`), for solve
-    and singular_spectrum: scipy's lu_factor, taken on first use and kept
-    in `OperatorMatrix.factors`.  With period 1 they overwrite a scatter
-    of A made for this call (see `_dense`), the one dense copy of A the
-    alternative makes unless it decomposes A.  That A is checked finite on
-    its stored values alone, as LAPACK would check the scatter: the others
-    are exact zeros.
+def factor(matrix):
+    """LU factors of a one-block A, for solve and singular_spectrum:
+    scipy's lu_factor, taken on first use and kept in `OperatorMatrix.lu`.
+    They overwrite a scatter of A made for this call (see `_dense`), the
+    one dense copy of A the alternative makes unless it decomposes A.  A
+    is checked finite on its stored values alone, as LAPACK would check
+    the scatter: the others are exact zeros.
 
-    An exactly singular block leaves a zero on the diagonal of U, which
+    An exactly singular A leaves a zero on the diagonal of U, which
     singular_spectrum reads as sigma_min = 0; scipy's warning about that
     pivot is silenced here.
     """
     from scipy.linalg import LinAlgWarning
 
-    lu = matrix.factors.get(k)
-    if lu is None:
-        one_block = matrix.period == 1
-        if one_block and not np.isfinite(matrix.row0.data).all():
+    if matrix.lu is None:
+        if not np.isfinite(matrix.row0.data).all():
             raise ValueError("A has entries that are not finite")
-        block = _dense(matrix) if one_block else matrix.blocks[0][k]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu = lu_factor(block, overwrite_a=one_block, check_finite=not one_block)
-            matrix.factors[k] = lu
-    return lu
+            matrix.lu = lu_factor(_dense(matrix), overwrite_a=True, check_finite=False)
+    return matrix.lu
 
 
 def _dense(matrix):
@@ -307,7 +318,8 @@ def singular_spectrum(matrix, edges=False):
     """Singular values of A, descending.
 
     All N values, pooled from the blocks of A (see `block_sigma`); or,
-    with `edges` and a one-block A, only [sigma_max, sigma_min], from
+    with `edges`, only [sigma_max, sigma_min]: the ends of those values
+    for Fourier blocks, and for a one-block A the results of
     implicitly restarted Lanczos runs (ARPACK) on the Gram A^T A, by two
     sparse products with the stored A (`apply`).  sigma_max is the root of
     its largest eigenvalue, at tol 1e-8.  sigma_min is the root of its
@@ -321,11 +333,12 @@ def singular_spectrum(matrix, edges=False):
     factorization raises as itself, a failed Lanczos run or SVD as
     SpectrumError.
     """
-    if not edges:
+    if not edges or matrix.period > 1:
         try:
-            return _pooled(matrix.block_sigma, matrix.blocks[1])
+            sigma = _pooled(matrix.block_sigma, matrix.blocks[1])
         except Exception as err:
             raise SpectrumError(f"singular value computation failed: {err}") from err
+        return sigma[[0, -1]] if edges else sigma
 
     def gram(v):
         return apply(matrix, apply(matrix, v), transpose=True)
@@ -355,13 +368,6 @@ def singular_spectrum(matrix, edges=False):
 def _pooled(per_block, multiplicity):
     """A's singular values, descending, from those of its blocks."""
     return np.sort(np.repeat(np.stack(per_block), multiplicity, axis=0).ravel())[::-1]
-
-
-def _decide(matrix):
-    """The spectrum the alternative reads: when A is its own one block,
-    the edges, and A is factored; otherwise every value, pooled from the
-    Fourier blocks, and A is not factored."""
-    return singular_spectrum(matrix, edges=matrix.period == 1)
 
 
 def _eigsh(matvec, start, **options):
@@ -419,41 +425,56 @@ def _certified(smallest, sigma_max):
 
 
 def _gemv(a, v, trans=0):
-    """op(a) @ v in scipy's BLAS, with op the identity (trans 0), the
-    transpose (1) or the conjugate transpose (2).  gemv reads a in Fortran
-    order: an a not so ordered is handed over as its view a.T, which for a
-    C-ordered a is not copied, unless a complex a is conjugated.  BLAS
-    refuses an operand with no entries, so its product is made here."""
+    """op(a) @ v in scipy's BLAS for a real a, with op the identity
+    (trans 0) or the transpose (1).  gemv reads a in Fortran order: an a
+    not so ordered is handed over as its view a.T, which for a C-ordered a
+    is not copied.  BLAS refuses an operand with no entries, so its
+    product is made here."""
     if a.size == 0:
         return np.zeros(a.shape[1 if trans else 0], np.result_type(a, v))
     from scipy.linalg import get_blas_funcs
 
     gemv = get_blas_funcs("gemv", (a, v))
-    if not a.flags.f_contiguous and (trans < 2 or not np.iscomplexobj(a)):
-        return gemv(1.0, a.T, v, trans=1 - min(trans, 1))
+    if not a.flags.f_contiguous:
+        return gemv(1.0, a.T, v, trans=1 - trans)
     return gemv(1.0, a, v, trans=trans)
+
+
+def _adjoint(b, transpose):
+    """A Fourier block, or its conjugate transpose: how a real A's
+    transpose acts on the rfft coefficients of a vector."""
+    return b.conj().T if transpose else b
 
 
 def apply(matrix, u, transpose=False):
     """A u, or A^T u, for a flat grid vector u: the sparse product with a
-    one-block A, or one gemv per block of A (see `OperatorMatrix.blocks`)
-    on u's rfft coefficients over the period.  A real A's transpose acts
-    on them through each block's conjugate transpose."""
-    period, trans = matrix.period, 2 if transpose else 0
+    one-block A, or one product per block of A (see
+    `OperatorMatrix.blocks`) on u's rfft coefficients over the period."""
+    period = matrix.period
     if period == 1:
         return (matrix.row0_t if transpose else matrix.row0) @ u
     u_hat = _to_blocks(u, period)
-    return _from_blocks([_gemv(b, r, trans) for b, r in zip(matrix.blocks[0], u_hat)], period)
+    au_hat = [_adjoint(b, transpose) @ r for b, r in zip(matrix.blocks[0], u_hat)]
+    return _from_blocks(au_hat, period)
 
 
 def solve(matrix, rhs, transpose=False):
-    """A^-1 rhs, or A^-T rhs, for a flat grid vector rhs: one lu_solve per
-    block of A on rhs's rfft coefficients over the period, through the
-    block's LU factors (see `factor`), as `apply` takes its products."""
-    period, trans = matrix.period, 2 if transpose else 0
+    """A^-1 rhs, or A^-T rhs, for a flat grid vector rhs: one solve per
+    block of A (see `_solve_block`) on rhs's rfft coefficients over the
+    period, as `apply` takes its products."""
+    period = matrix.period
     rhs_hat = _to_blocks(rhs, period)
-    u_hat = [lu_solve(factor(matrix, k), r, trans=trans) for k, r in enumerate(rhs_hat)]
+    u_hat = [_solve_block(matrix, b, r, transpose) for b, r in zip(matrix.blocks[0], rhs_hat)]
     return _from_blocks(u_hat, period)
+
+
+def _solve_block(matrix, b, r, transpose=False):
+    """b^-1 r, or b^-H r, for a block b of A: scipy's lu_solve through the
+    LU factors of a one-block A (see `factor`), numpy's solve of a Fourier
+    block, which keeps no factors."""
+    if matrix.period == 1:
+        return lu_solve(factor(matrix), r, trans=int(transpose))
+    return np.linalg.solve(_adjoint(b, transpose), r)
 
 
 def default_tolerance(sigma, size):
@@ -494,9 +515,9 @@ def solve_alternative(matrix, tau=None):
 
     Each block (see `OperatorMatrix.blocks`) is judged by the values the
     decision saw of it, and works on the rfft coefficients of rhs over
-    the period.  A block with none of them zero is solved through its LU
-    factors (see `factor`), which the one block shares with the decision
-    when the decision took them.
+    the period.  A block with none of them zero is solved (see
+    `_solve_block`), the one block through the LU factors it shares with
+    the decision when the decision took them.
     A block with a zero takes one SVD, whose values replace those the
     decision saw; it gives up at least its smallest pair, since the
     decision saw that one at or below tau.  A is unique when no block is
@@ -507,7 +528,7 @@ def solve_alternative(matrix, tau=None):
     """
     if tau is not None and not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
-    sigma = _decide(matrix)
+    sigma = singular_spectrum(matrix, edges=True)
     floor = matrix.size * np.finfo(float).eps * float(sigma[0])
     tau = default_tolerance(sigma, matrix.size) if tau is None else max(tau, floor)
     blocks, multiplicity = matrix.blocks
@@ -522,11 +543,11 @@ def solve_alternative(matrix, tau=None):
     for k, (b, z, mult) in enumerate(zip(blocks, zero, multiplicity)):
         r = rhs_hat[k]
         if not z:
-            u_hat.append(lu_solve(factor(matrix, k), r))
+            u_hat.append(_solve_block(matrix, b, r))
             continue
-        # a one-block A drops its LU, and its SVD overwrites a scatter of it
-        matrix.factors.pop(k, None)
         if period == 1:
+            # a one-block A drops its LU, and its SVD overwrites a scatter of it
+            matrix.lu = None
             b = _dense(matrix)
         try:
             left, s, right_h = svd(b, overwrite_a=period == 1)
@@ -535,8 +556,12 @@ def solve_alternative(matrix, tau=None):
         seen[k] = s
         keep = s > tau
         keep[-1] = False  # the decision saw this one at or below tau
-        coeffs = _gemv(left[:, keep], r, 2) / s[keep]
-        u_hat.append(_gemv(right_h[keep], coeffs, 2))
+        if period == 1:
+            coeffs = _gemv(left[:, keep], r, 1) / s[keep]
+            u_hat.append(_gemv(right_h[keep], coeffs, 1))
+        else:
+            coeffs = left[:, keep].conj().T @ r / s[keep]
+            u_hat.append(right_h[keep].conj().T @ coeffs)
         wave = np.exp(2j * np.pi * k * np.arange(period) / period) / math.sqrt(period)
         if mult == 1:
             wave = wave.real
@@ -553,19 +578,27 @@ def solve_alternative(matrix, tau=None):
     kernel = np.array(kernel).reshape(-1, matrix.size)[rank].T
     cokernel = np.array(cokernel).reshape(-1, matrix.size)[rank].T
     if unique:
-        sigma, defect = sigma[[0, -1]], None
+        defect = None
     else:
         sigma = _pooled(seen, multiplicity)
-        from scipy.linalg import get_blas_funcs
-
-        projection = _gemv(cokernel, matrix.rhs, 1)
-        defect = float(get_blas_funcs("nrm2", (projection,))(projection))
+        defect = _defect(cokernel, matrix.rhs, one_block=period == 1)
     p, grid = matrix.problem, matrix.grid
     solution = GridFunction(grid, _from_blocks(u_hat, period).reshape(p.n, grid.nx, grid.nt))
     res = residual(p, grid, solution, matrix=matrix)
     return FredholmReport(
         sigma, float(tau), unique, kernel.shape[1], solution, res, defect, kernel, cokernel, matrix
     )
+
+
+def _defect(cokernel, rhs, one_block):
+    """|cokernel^T rhs|, the solvability defect of the forcing: in scipy's
+    BLAS for a one-block A, in numpy's otherwise."""
+    if not one_block:
+        return float(np.linalg.norm(cokernel.T @ rhs))
+    from scipy.linalg import get_blas_funcs
+
+    projection = _gemv(cokernel, rhs, 1)
+    return float(get_blas_funcs("nrm2", (projection,))(projection))
 
 
 def _to_blocks(flat, period):
@@ -701,7 +734,7 @@ def convergence_study(p, grids, exact=None, tau=None):
             value = sup_norm(GridFunction(grid, report.solution.values - target.values))
             exact_level = value <= 1e-12 * (1.0 + sup_norm(target))
         else:
-            value = float(_decide(matrix)[-1])
+            value = float(singular_spectrum(matrix, edges=True)[-1])
             exact_level = False
         order = None
         note = ""

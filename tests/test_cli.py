@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from phsolve import expr as ex
 from phsolve.cli import HANDLERS, main
 from phsolve.problem import to_dict
 from phsolve import problems
@@ -150,12 +152,18 @@ def test_invalid_problem_data_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("a", 5), ("b", [5, 5]), ("b", ["00", "00"]), ("a", ["(" * 300 + "1" + ")" * 300])],
+    [
+        ("a", 5),
+        ("b", [5, 5]),
+        ("b", ["00", "00"]),
+        ("a", ["(" * 300 + "1" + ")" * 300]),
+        ("f", ["+".join(["x"] * 1500), "0"]),
+    ],
 )
 def test_non_list_problem_data_exits_one(tmp_path, capsys, key, value):
     # a number raised a TypeError traceback; strings of zeros read as a zero
     # matrix and the solve exited 0; 300 nested parentheses overflowed the
-    # parser's recursion
+    # parser's recursion, and a chain of 1500 terms the evaluator's
     path = tmp_path / "not_lists.json"
     data = to_dict(problems.example13())
     data[key] = value
@@ -165,6 +173,32 @@ def test_non_list_problem_data_exits_one(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+# MAX_DEPTH levels deep, one under the refused depth: a speed that divides
+# by functions of t, whose t-derivative is about three times as deep, and
+# a sum of x's
+DEEP_SPEED = "2+" + "/".join(["sin(t)"] + ["(2+cos(t))"] * (ex.MAX_DEPTH - 5))
+DEEP_SUM = "+".join(["x"] * ex.MAX_DEPTH)
+
+
+def test_expressions_at_the_depth_limit_run(tmp_path, capsys):
+    for source, next_term in ((DEEP_SPEED, "/(2+cos(t))"), (DEEP_SUM, "+x")):
+        ex.parse(source)
+        with pytest.raises(ex.ParseError, match="nested deeper"):
+            ex.parse(source + next_term)
+    path = tmp_path / "deep.json"
+    data = to_dict(problems.pure_forcing())
+    data["a"], data["f"] = [DEEP_SPEED], [DEEP_SUM]
+    path.write_text(json.dumps(data))
+    assert run(tmp_path, "solve", "--problem", str(path), "--nx", "5", "--nt", "4") == 0
+    assert read_json(tmp_path, "report.json")["unique"] is True
+    residual = ["residual", "--builtin", "pure-forcing", "--nx", "5", "--nt", "4"]
+    assert run(tmp_path, *residual, "--exact", DEEP_SUM) == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path, *residual, "--exact", DEEP_SUM + "+x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested deeper" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -622,8 +656,45 @@ def test_command_that_factors_nothing_runs_without_scipy_linalg(tmp_path, capsys
     assert argv[0] == "list-builtins" or files[0]
 
 
+def untimed(name, data):
+    """An artifact's bytes, less report.json's wall-clock timings."""
+    if name != "report.json":
+        return data
+    report = json.loads(data)
+    assert set(report.pop("timings")) == {"assemble_s", "solve_s"}
+    return report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--builtin", "example13", "--nx", "17", "--nt", "16", "--tau", "1e-2"],
+        ["solve", "--builtin", "example13"],
+        ["spectrum", "--builtin", "example13"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_autonomous_command_runs_without_scipy_linalg(tmp_path, capsys, argv):
+    # an autonomous problem's Fourier blocks are decided, solved and
+    # decomposed in numpy alone; each command prints and writes what it
+    # does with scipy.linalg at hand, but for the times it measures
+    without, within = tmp_path / "without", tmp_path / "with"
+    for out in (without, within):
+        out.mkdir()
+    run = run_without_scipy_linalg([*argv, "--out", str(without)])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert main([*argv, "--out", str(within)]) == 0
+    elapsed = re.compile(r"\(\d+\.\ds\)$", re.MULTILINE)
+    assert elapsed.sub("", run.stdout) == elapsed.sub("", capsys.readouterr().out) != ""
+    files = [
+        {f.name: untimed(f.name, f.read_bytes()) for f in out.iterdir()} for out in (without, within)
+    ]
+    assert files[0] == files[1] != {}
+
+
 def test_solve_needs_scipy_linalg(tmp_path):
-    # the refusal above is live: a command that factors A fails under it
+    # the refusal above is live: a command that factors a one-block A
+    # fails under it
     run = run_without_scipy_linalg(
         ["solve", "--builtin", "manufactured-wellposed", "--nx", "5", "--nt", "4",
          "--out", str(tmp_path)]

@@ -140,6 +140,33 @@ def test_parse_accepts_nesting_up_to_the_limit():
         ex.parse("(" * (depth + 1) + "x" + ")" * (depth + 1))
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_chain_deeper_than_the_limit_is_refused_at_its_operator(op):
+    # a flat chain, parsed in a loop, still builds a tree one level deeper
+    # a term, and the tree walkers recurse on it: 1500 x's joined by +
+    # ended in a raw RecursionError from _eval.  A chain of MAX_DEPTH terms
+    # is MAX_DEPTH deep; the operator that adds the next term is refused
+    depth = ex.MAX_DEPTH
+    ex.parse(op.join(["t"] * depth))
+    for terms in (depth + 1, 1500):
+        with pytest.raises(ex.ParseError, match="nested deeper") as err:
+            ex.parse(op.join(["t"] * terms))
+        assert err.value.offset == 2 * depth - 1
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_walkers_fit_a_chain_at_the_limit(op):
+    # every walker recurses once a level; a derivative of a chain of
+    # divisions or powers in t is about three times as deep as the chain
+    node = ex.parse(op.join(["t"] * ex.MAX_DEPTH))
+    assert ex.parse(ex.to_string(node)) == node
+    derivative = ex.differentiate(node, "t")
+    assert ex.to_string(derivative)
+    moved = ex.substitute(derivative, "t", ex.parse("x+1"))
+    t = np.array([1.1, 1.3])
+    np.testing.assert_array_equal(ex.evaluate(moved, t - 1.0, 0.0), ex.evaluate(derivative, 0.0, t))
+
+
 @pytest.mark.parametrize("name", sorted(problems.BUILTINS))
 def test_builtin_expressions_parse(name):
     data = to_dict(problems.get_builtin(name))

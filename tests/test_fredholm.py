@@ -245,6 +245,10 @@ def test_decision_edges_match_full_spectrum(name):
     full = svdvals(matrix.A)
     tau = fr.default_tolerance(full, matrix.size)
     unique = bool(full[-1] > tau)
+    # Fourier blocks give their edges from their pooled values, and the
+    # one block from its Lanczos runs
+    edges = fr.singular_spectrum(matrix, edges=True)
+    np.testing.assert_allclose(edges, full[[0, -1]], rtol=1e-10, atol=0.0)
     report = fr.solve_alternative(matrix)
     assert report.sigma.shape == ((2,) if unique else full.shape)
     assert report.sigma[0] == pytest.approx(full[0], rel=1e-10)
@@ -609,33 +613,64 @@ def test_apply_and_solve_match_dense_A(case, shape):
     assert periods == ({1, grid.nt} if case in AUTONOMOUS else {1})
 
 
-@pytest.mark.parametrize("trans", [0, 1, 2])
+@pytest.mark.parametrize("trans", [0, 1])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_gemv_takes_operands_with_no_entries(trans, dtype):
-    # a decomposed block that keeps no singular pair multiplies by a
-    # factor with no columns, and then by one with no rows
+    # a decomposed one block that keeps no singular pair multiplies by a
+    # real SVD factor with no columns, and then by one with no rows; the
+    # vector may be real or complex
     rng = np.random.default_rng(1)
     for shape in ((5, 0), (0, 5), (5, 3)):
-        a = rng.standard_normal(shape).astype(dtype)
-        a_op = (a, a.T, a.conj().T)[trans]
-        v = rng.standard_normal(a_op.shape[1]) + 1j
+        a = rng.standard_normal(shape)
+        a_op = (a, a.T)[trans]
+        v = rng.standard_normal(a_op.shape[1]) + dtype(1j if dtype is complex else 0.0)
         np.testing.assert_allclose(fr._gemv(a, v, trans), a_op @ v, rtol=1e-14)
         np.testing.assert_allclose(fr._gemv(np.asfortranarray(a), v, trans), a_op @ v, rtol=1e-14)
 
 
+def refuse(library):
+    def refused(*_args, **_kwargs):
+        pytest.fail(f"{library}'s linear algebra was called")
+
+    return refused
+
+
 @pytest.mark.parametrize("tau", [None, 1e-2])
 def test_alternative_leaves_numpy_linear_algebra_alone(monkeypatch, tau):
-    # from the LU onwards the alternative's solves, decompositions and the
-    # defect's norm are scipy's, in the one BLAS library scipy links
-    def refuse(*_args, **_kwargs):
-        pytest.fail("numpy's linear algebra was called")
-
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(np.linalg, "norm", refuse)
+    # a one-block A's LU, solves, decomposition and the defect's norm are
+    # scipy's, in the one BLAS library scipy links: the t-dependent
+    # builtins, and the traced twins of the autonomous ones, resonant
+    # under tau = 1e-2
+    for name in ("solve", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse("numpy"))
+    kernel_dims = []
     for case in problems.BUILTINS:
-        report = fr.solve_alternative(fr.assemble(problems.get_builtin(case), gr.Grid(13, 11)), tau)
+        p = problems.get_builtin(case)
+        matrix = fr.assemble(traced_twin(p) if case in AUTONOMOUS else p, gr.Grid(13, 11))
+        assert matrix.period == 1
+        report = fr.solve_alternative(matrix, tau)
         assert report.unique is (report.kernel_dim == 0)
+        kernel_dims.append(report.kernel_dim)
+    assert (tau is None) is not any(kernel_dims)
+
+
+@pytest.mark.parametrize("tau", [None, 1e-2])
+def test_autonomous_alternative_leaves_scipy_linear_algebra_alone(monkeypatch, tau):
+    # the Fourier blocks' SVDs, solves, products and the defect's norm are
+    # numpy's, in the one BLAS library numpy links
+    import scipy.linalg
+
+    for name in ("lu_factor", "lu_solve"):
+        monkeypatch.setattr(fr, name, refuse("scipy"))
+    for name in ("svd", "svdvals", "get_blas_funcs"):
+        monkeypatch.setattr(scipy.linalg, name, refuse("scipy"))
+    kernel_dims = []
+    for case in AUTONOMOUS:
+        report = fr.solve_alternative(fr.assemble(autonomous_case(case), gr.Grid(13, 11)), tau)
+        assert report.matrix.period == 11
+        assert report.unique is (report.kernel_dim == 0)
+        kernel_dims.append(report.kernel_dim)
+    assert (tau is None) is not any(kernel_dims)
 
 
 @pytest.mark.parametrize("shape", [(33, 32), (13, 11)])
@@ -861,7 +896,7 @@ def test_certified_one_block_decision_holds_no_dense_A():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert matrix.factors == {}
+    assert matrix.lu is None
     assert peak <= 8 * matrix.size**2 / 8
 
 
@@ -1100,7 +1135,7 @@ def test_non_finite_A_is_refused_before_its_LU(monkeypatch):
     monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
     with pytest.raises(ValueError, match="not finite"):
         fr.factor(matrix)
-    assert matrix.factors == {}
+    assert matrix.lu is None
 
 
 # --- residual ---------------------------------------------------------------
