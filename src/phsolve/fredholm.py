@@ -21,28 +21,32 @@ assembled matrix, and `OperatorMatrix.block_sigma` their singular
 values, for the decision and the branch alike; A itself is expanded
 only when read.  The nt // 2 + 1 distinct Fourier blocks are decided
 from their pooled singular values; the one block from sigma_max (which
-scales the default tau) and sigma_min, by Lanczos runs on the Gram
-A^T A through the stored sparse A, for its largest and its smallest
-eigenvalue.  As K is compact, A^T A is the identity less a compact
-operator, and for a well-posed A its smallest eigenvalue sits apart
-from the cluster at 1: there the run certifies sigma_min, and A is not
-factored to decide.  An uncertified sigma_min comes from a third run,
-on the LU factors, from the eigenvector the second gave.  The Gram
-products read the CSR: a one-block A is dense only inside a LAPACK
-call, scattered once for that call, which overwrites the scatter (the
-LU, taken by the decision or else for the solve, or the resonant SVD),
-so one dense N x N is held at a time.  A value at or
-below tau counts as zero, and tau is never below
+scales the default tau) and sigma_min, by one Lanczos run on the Gram
+A^T A through the stored sparse A, for both its largest and its
+smallest eigenvalue.  As K is compact, A^T A is the identity less a
+compact operator, and for a well-posed A its smallest eigenvalue sits
+apart from the cluster at 1: there the run certifies sigma_min, and A
+is not factored to decide.  Where a Ritz value shows certification out
+of reach, or the run's budget is spent, it stops looking for sigma_min,
+which then comes from a second run, on the LU factors, from the
+smallest Ritz vector.  The Gram products read the CSR: a one-block A is
+dense only inside a LAPACK call, scattered once for that call, which
+overwrites the scatter (the LU, taken by the decision or else for the
+solve, or the resonant SVD), so one dense N x N is held at a time.  The
+certificate bounds the condition number of A by 21.2, so a certified A
+is solved on the LU of a float32 scatter, half the size of a float64
+one, refined to float64 accuracy against the CSR (see `_refined`).  A
+value at or below tau counts as zero, and tau is never below
 N * eps * sigma_max, numpy's `matrix_rank` tolerance, under which a
 value is round-off.  After the decision one pass handles every block by
 the values the decision saw of it: a block with none of them zero is
-solved (the one block through its LU factors, `OperatorMatrix.lu`), and
-only a block with a zero is decomposed by one SVD into real (numerical)
-kernel and cokernel bases, a truncated least-squares solution, and the
-solvability defect of the forcing.  The residual of that solution is
-sup|Au - rhs|, with Au the one block's sparse product, or taken block
-by block through the same rfft over t as the solve, so no part of K is
-walked after assembly.
+solved (the one block through its LU factors), and only a block with a
+zero is decomposed by one SVD into real (numerical) kernel and cokernel
+bases, a truncated least-squares solution, and the solvability defect
+of the forcing.  The residual of that solution is sup|Au - rhs|, with
+Au the one block's sparse product, or taken block by block through the
+same rfft over t as the solve, so no part of K is walked after
+assembly.
 
 From the decision on, each path keeps its dense linear algebra in one
 of the two OpenBLAS libraries that numpy and scipy link: switching
@@ -51,8 +55,9 @@ other needed.  The Fourier blocks are small and kept, so every SVD,
 solve and product on them is numpy's (`np.linalg`, `@`), and an
 autonomous problem never loads scipy.linalg.  The one block is
 scattered for LAPACK to overwrite, which numpy's routines cannot do in
-place, so its LU, its solves, its SVD and the products with its SVD
-factors are scipy's (`lu_factor`, `lu_solve`, `svd`, `_gemv`).
+place, so its LU, its solves, its SVD, the products with its SVD
+factors and its Lanczos basis are scipy's (`lu_factor`, `lu_solve`,
+`svd`, `_gemv`, `eigh_tridiagonal`).
 
 Also here: the screening test for the coupling/speed-gap compatibility
 condition that separates the two regimes, and grid-refinement studies.
@@ -82,6 +87,14 @@ from .grid import Grid, GridFunction, sample_exprs, sup_norm
 from .operators import CurveCache, apply_F, apply_K, stencil_block
 
 DENSE_LIMIT = 20000
+# Gram products the one-block decision spends looking for sigma_min:
+# wellposed is certified in 34, 41 and 47 of them at 17 x 16, 33 x 32 and
+# 65 x 64, the coupling problem in 49-51 at 21 x 20, and levy-pass, whose
+# sigma_min sits in a cluster, in 68 at 17 x 16 (105 at 33 x 32, past the
+# budget, which then takes the LU)
+SMALLEST_BUDGET = 80
+# LAPACK dsgesv's cap on refinement steps of a float32 solve
+REFINE_STEPS = 30
 
 
 # numpy's LAPACK copies its operand; only scipy's can overwrite a scatter
@@ -142,6 +155,9 @@ class OperatorMatrix:
     period: int
     # the LU factors of a one-block A: see `factor`
     lu: tuple | None = field(default=None, init=False, repr=False)
+    # whether the decision certified sigma_min of a one-block A: see
+    # `_solve_block`
+    certified: bool = field(default=False, init=False, repr=False)
 
     @property
     def size(self):
@@ -226,7 +242,8 @@ def assemble(p, grid):
     curves as built for stencil_block.
 
     The dense entries the alternative holds count against DENSE_LIMIT**2:
-    with period 1, the N * N of A scattered for its LU (see `_dense`);
+    with period 1, the N * N of A scattered for its LU (see `_dense`),
+    in 8 N^2 bytes, or 4 N^2 where the decision certified A;
     with period nt, the N * M of row0 expanded for its rfft and the
     nt // 2 + 1 complex M x M blocks derived from it, three times over,
     which leaves room for the two SVD factors of every block that
@@ -280,35 +297,42 @@ def assemble(p, grid):
 
 
 def factor(matrix):
-    """LU factors of a one-block A, for solve and singular_spectrum:
-    scipy's lu_factor, taken on first use and kept in `OperatorMatrix.lu`.
-    They overwrite a scatter of A made for this call (see `_dense`), the
-    one dense copy of A the alternative makes unless it decomposes A.  A
-    is checked finite on its stored values alone, as LAPACK would check
-    the scatter: the others are exact zeros.
+    """LU factors of a one-block A in float64, for solve and
+    singular_spectrum: scipy's lu_factor, taken on first use and kept in
+    `OperatorMatrix.lu`.  They overwrite a scatter of A made for this
+    call (see `_dense`), the one dense copy of A the alternative makes
+    unless it decomposes A or solves a certified A in float32 (see
+    `_refined`).  A is checked finite on its stored values alone, as
+    LAPACK would check the scatter: the others are exact zeros.
 
     An exactly singular A leaves a zero on the diagonal of U, which
-    singular_spectrum reads as sigma_min = 0; scipy's warning about that
-    pivot is silenced here.
+    singular_spectrum reads as sigma_min = 0.
     """
-    from scipy.linalg import LinAlgWarning
-
     if matrix.lu is None:
         if not np.isfinite(matrix.row0.data).all():
             raise ValueError("A has entries that are not finite")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            matrix.lu = lu_factor(_dense(matrix), overwrite_a=True, check_finite=False)
+        matrix.lu = _lu(_dense(matrix))
     return matrix.lu
 
 
-def _dense(matrix):
-    """A one-block A scattered afresh into a dense Fortran-ordered array,
-    for the LAPACK call its caller makes next to overwrite.  It is written
-    from row0's arrays, which hold each entry once; scipy's `toarray` would
-    fill a Fortran-ordered array through a CSC copy of them."""
+def _lu(a):
+    """lu_factor of a scatter a, which it overwrites; scipy's warning
+    about an exactly zero pivot is silenced."""
+    from scipy.linalg import LinAlgWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(a, overwrite_a=True, check_finite=False)
+
+
+def _dense(matrix, dtype=float):
+    """A one-block A scattered afresh into a dense Fortran-ordered array of
+    dtype, float64 or float32, for the LAPACK call its caller makes next
+    to overwrite.  It is written from row0's arrays, which hold each entry
+    once; scipy's `toarray` would fill a Fortran-ordered array through a
+    CSC copy of them."""
     row0 = matrix.row0
-    a = np.zeros(row0.shape, order="F")
+    a = np.zeros(row0.shape, dtype, order="F")
     rows = np.repeat(np.arange(row0.shape[0], dtype=row0.indices.dtype), np.diff(row0.indptr))
     a[rows, row0.indices] = row0.data
     return a
@@ -319,18 +343,18 @@ def singular_spectrum(matrix, edges=False):
 
     All N values, pooled from the blocks of A (see `block_sigma`); or,
     with `edges`, only [sigma_max, sigma_min]: the ends of those values
-    for Fourier blocks, and for a one-block A the results of
-    implicitly restarted Lanczos runs (ARPACK) on the Gram A^T A, by two
-    sparse products with the stored A (`apply`).  sigma_max is the root of
-    its largest eigenvalue, at tol 1e-8.  sigma_min is the root of its
-    smallest (see `_smallest_eigenpair`) where that run certifies it (see
-    `_certified`), and A is not factored.  Otherwise it comes from a
-    third run, for the largest eigenvalue of (A^T A)^-1 = A^-1 A^-T at tol
-    1e-12, through the LU factors `factor` takes, from the eigenvector
-    the smallest run gave or else from its start; a zero pivot gives
-    sigma_min = 0.  Whatever its density, A is dense here only inside the
-    LU call, which overwrites the scatter made for it.  A failed
-    factorization raises as itself, a failed Lanczos run or SVD as
+    for Fourier blocks, and for a one-block A the roots of the ends of
+    one Lanczos run on the Gram A^T A (see `_lanczos`), by two sparse
+    products with the stored A (`apply`) a step.  sigma_max is the root
+    of its largest Ritz value, at tol 1e-8.  sigma_min is the root of its
+    smallest where the run certifies it (see `_certified`), which also
+    marks A `certified` for its solve, and A is not factored.  Otherwise
+    it comes from a second run, for the largest eigenvalue of
+    (A^T A)^-1 = A^-1 A^-T at tol 1e-12, through the LU factors `factor`
+    takes, from the Ritz vector of the first run's smallest value; a zero
+    pivot gives sigma_min = 0.  Whatever its density, A is dense here
+    only inside the LU call, which overwrites the scatter made for it.  A
+    failed factorization raises as itself, a failed Lanczos run or SVD as
     SpectrumError.
     """
     if not edges or matrix.period > 1:
@@ -351,17 +375,17 @@ def singular_spectrum(matrix, edges=False):
     # the problem has a symmetry
     start = np.random.default_rng(0).standard_normal(matrix.size)
     # sigma_max only scales tau and its round-off floor: at tol 1e-8 it
-    # agrees with tol 1e-12's to 8e-16, in 10 fewer Gram products
-    sigma_max = math.sqrt(_eigsh(gram, start, return_eigenvectors=False, tol=1e-8)[0])
-    smallest, start = _smallest_eigenpair(gram, start)
-    if _certified(smallest, sigma_max):
+    # agrees with tol 1e-12's to 8e-16
+    largest, smallest, start = _lanczos(
+        gram, start, 1e-8, budget=SMALLEST_BUDGET, floor=np.finfo(float).eps / 1e-13
+    )
+    sigma_max = math.sqrt(largest)
+    matrix.certified = bool(_certified(smallest, sigma_max))
+    if matrix.certified:
         return np.array([sigma_max, math.sqrt(smallest)])
     if np.any(np.diagonal(factor(matrix)[0]) == 0.0):
         return np.array([sigma_max, 0.0])
-    # from a close start, 8 Lanczos vectors before the first restart take
-    # fewer LU solves than ARPACK's default 20; fewer than 8 stall on a
-    # cluster at sigma_min, as levy-pass has
-    largest = _eigsh(inverse_gram, start, return_eigenvectors=False, tol=1e-12, ncv=8)[0]
+    largest = _lanczos(inverse_gram, start, 1e-12)[0]
     return np.array([sigma_max, 1.0 / math.sqrt(largest)])
 
 
@@ -370,54 +394,92 @@ def _pooled(per_block, multiplicity):
     return np.sort(np.repeat(np.stack(per_block), multiplicity, axis=0).ravel())[::-1]
 
 
-def _eigsh(matvec, start, **options):
-    """scipy's eigsh (ARPACK) for one eigenpair of the symmetric operator
-    matvec, from start.  A product that is not finite (a finite A's Gram
-    can overflow) stops the run before ARPACK's LAPACK calls read it and
-    print to the terminal.  Any failure raises SpectrumError, from
-    ArpackNoConvergence when the run did not converge."""
-    from scipy.sparse.linalg import LinearOperator, eigsh
+def _lanczos(product, start, tol, budget=0, floor=0.0):
+    """Extremal eigenvalues of the symmetric positive semidefinite operator
+    `product`, by a Lanczos run from start with full reorthogonalization,
+    done twice, on its Krylov basis in scipy's BLAS, and the Ritz pairs of
+    its tridiagonal T_k (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
 
-    def checked(v):
-        out = matvec(v)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("a Lanczos product with A^T A or its inverse is not finite")
-        return out
+    A Ritz value theta with eigenvector s of T_k lies within
+    beta_k |s_k| of an eigenvalue, the bound ARPACK tests.  The run goes
+    on until the largest value's bound is at most tol theta_max and, for
+    its first `budget` products, the smallest value's at most
+    1e-13 theta_min, or until theta_min < floor theta_max: a Ritz value
+    bounds the smallest eigenvalue from above and theta_max the largest
+    from below, so from then on no theta_min to come is certified (see
+    `_certified`), and the run goes on for theta_max alone.  beta_k at
+    most eps theta_max, or a basis of every direction, ends the run as an
+    exact invariant subspace: with a start vector not orthogonal to any
+    eigenvector, its Ritz values are all the distinct eigenvalues.
 
-    op = LinearOperator((start.size, start.size), matvec=checked, dtype=float)
-    try:
-        return eigsh(op, k=1, v0=start, **options)
-    except Exception as err:
-        raise SpectrumError(f"singular value computation failed: {err}") from err
+    Returns theta_max, theta_min where its bound was met and else nan,
+    and the Ritz vector of theta_min.  A product that is not finite (a
+    finite A's Gram can overflow) raises SpectrumError."""
+    from scipy.linalg import eigh_tridiagonal, get_blas_funcs
 
+    def ritz(i):
+        """The i-th smallest eigenvalue of T_k and its unit eigenvector."""
+        value, vector = eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(i, i), check_finite=False
+        )
+        return value[0], vector[:, 0]
 
-def _smallest_eigenpair(gram, start):
-    """The smallest eigenvalue of gram and its eigenvector, from a Lanczos
-    run from start at tol 1e-13 on a capped budget, or (nan, start) when
-    the run does not converge within it."""
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    # at most 73 Gram products, 37 and then 12 a restart: wellposed is
-    # certified in 37, 49 and 61 of them at 17 x 16, 33 x 32 and 65 x 64,
-    # which leaves a restart to spare where ARPACK builds count apart;
-    # levy-pass, whose sigma_min sits in a cluster, and breathing
-    # example13, too small against sigma_max to certify, spend them all
-    options = dict(which="SA", tol=1e-13, maxiter=4, ncv=min(24, start.size))
-    try:
-        values, vectors = _eigsh(gram, start, **options)
-    except SpectrumError as err:
-        if not isinstance(err.__cause__, ArpackNoConvergence):
-            raise
-        return math.nan, start
-    return float(values[0]), vectors[:, 0]
+    gemv, nrm2 = get_blas_funcs(("gemv", "nrm2"), (start,))
+    n = start.size
+    # the Lanczos vectors, as rows: room for the budget, doubled when the
+    # run goes on for theta_max past it
+    basis = np.empty((min(n, max(budget, 32)), n))
+    basis[0] = start / nrm2(start)
+    alpha, beta = [], []
+    eps = np.finfo(float).eps
+    top_done, low_live = False, budget > 0
+    while True:
+        k = len(alpha) + 1
+        w = product(basis[k - 1])
+        if not np.isfinite(w).all():
+            raise SpectrumError(
+                "singular value computation failed: "
+                "a Lanczos product with A^T A or its inverse is not finite"
+            )
+        # w less its projection on the basis, twice; basis[:k].T is the
+        # Fortran-ordered n x k matrix with the vectors as columns
+        a = 0.0
+        for _ in range(2):
+            h = gemv(1.0, basis[:k].T, w, trans=1)
+            w = gemv(-1.0, basis[:k].T, h, 1.0, w, overwrite_y=True)
+            a += h[-1]
+        alpha.append(a)
+        b = nrm2(w)
+        # theta_max only grows with k, so once within tol it stays there
+        if not top_done:
+            top, s = ritz(k - 1)
+        exact = k == n or b <= eps * top
+        bound = 0.0 if exact else b
+        top_done = top_done or bound * abs(s[-1]) <= tol * top
+        if low_live:
+            low, s = ritz(0)
+            met = bound * abs(s[-1]) <= 1e-13 * low
+            low_live = not (met or low < floor * top or k >= budget)
+        if exact or (top_done and not low_live):
+            break
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
+        basis[k] = w / b
+        beta.append(b)
+    top = ritz(k - 1)[0]
+    if budget == 0:
+        return top, math.nan, None
+    low, s = ritz(0)
+    met = bound * abs(s[-1]) <= 1e-13 * low
+    return top, low if met else math.nan, _gemv(basis[:k], s, 1)
 
 
 def _certified(smallest, sigma_max):
-    """Whether sqrt(smallest), from `_smallest_eigenpair`, is sigma_min to
-    1e-13 relative.  The residual bound |theta - lambda| <= |r| (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 4) and the run's tol put
-    smallest within 1e-13 smallest of an eigenvalue of the Gram as
-    applied, and rounding in the products moves that eigenvalue by about
+    """Whether sqrt(smallest), from `_lanczos`, is sigma_min to 1e-13
+    relative.  The residual bound |theta - lambda| <= |r| (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4) and the run's tol put smallest
+    within 1e-13 smallest of an eigenvalue of the Gram as applied, and
+    rounding in the products moves that eigenvalue by about
     eps sigma_max^2 more; the root halves the sum of the two relative
     errors.  A run that did not converge (nan), or a smallest at
     round-off (zero or negative), is not certified."""
@@ -469,12 +531,59 @@ def solve(matrix, rhs, transpose=False):
 
 
 def _solve_block(matrix, b, r, transpose=False):
-    """b^-1 r, or b^-H r, for a block b of A: scipy's lu_solve through the
-    LU factors of a one-block A (see `factor`), numpy's solve of a Fourier
-    block, which keeps no factors."""
-    if matrix.period == 1:
-        return lu_solve(factor(matrix), r, trans=int(transpose))
-    return np.linalg.solve(_adjoint(b, transpose), r)
+    """b^-1 r, or b^-H r, for a block b of A: numpy's solve of a Fourier
+    block, which keeps no factors; for a one-block A, scipy's lu_solve
+    through its float64 LU factors (see `factor`) or, where its decision
+    certified sigma_min and took no LU, the float32 solve refined to
+    float64 of `_refined`, falling back to the float64 LU where that one
+    fails."""
+    if matrix.period > 1:
+        return np.linalg.solve(_adjoint(b, transpose), r)
+    if matrix.certified and matrix.lu is None:
+        u = _refined(matrix, r, transpose)
+        if u is not None:
+            return u
+    return lu_solve(factor(matrix), r, trans=int(transpose))
+
+
+def _refined(matrix, r, transpose=False):
+    """A^-1 r, or A^-T r, for a one-block A whose decision certified
+    sigma_min, by LAPACK's dsgesv scheme (Langou et al., SC 2006; Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12) on scipy's
+    routines: A is factored in float32, on a scatter half the size of a
+    float64 one, and the solution is refined in float64 against the CSR.
+    Each step solves for the residual r - A u scaled by its sup norm, so
+    that its float32 cast neither overflows nor flushes its largest
+    entries to zero, until |r - A u|_inf <= sqrt(N) eps |A|_inf |u|_inf,
+    dsgesv's test, within REFINE_STEPS steps.  The certificate bounds the
+    condition number of A by sqrt(1e-13 / eps) = 21.2, under which 2 steps
+    meet it.
+
+    None where an entry of A is out of float32's range, or the test is not
+    met, as where the float32 factors overflowed: the caller then takes
+    the float64 LU, whose scatter is made once the float32 factors are
+    freed."""
+    if not (np.abs(matrix.row0.data) <= np.finfo(np.float32).max).all():
+        return None
+    a_norm = np.max(abs(matrix.row0_t if transpose else matrix.row0) @ np.ones(matrix.size))
+    bound = math.sqrt(matrix.size) * np.finfo(float).eps * a_norm
+    lu = _lu(_dense(matrix, np.float32))
+    u, gap = np.zeros(matrix.size), r
+    # factors that overflowed in float32 give a gap that is not finite,
+    # which ends the loop without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(REFINE_STEPS + 2):
+            scale = np.max(np.abs(gap))
+            if scale <= bound * np.max(np.abs(u)):
+                return u
+            if step > REFINE_STEPS or not np.isfinite(scale):
+                return None
+            # the solve, then each refinement step
+            step_32 = lu_solve(
+                lu, (gap / scale).astype(np.float32), trans=int(transpose), check_finite=False
+            )
+            u += scale * step_32.astype(float)
+            gap = r - apply(matrix, u, transpose)
 
 
 def default_tolerance(sigma, size):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor, subspace_angles, svd, svdvals
+from scipy.sparse import csr_array
 
 from phsolve import expr as ex
 from phsolve import fredholm as fr
@@ -904,9 +905,9 @@ def counted_dense(scatters):
     """fr._dense, recording the matrix of each scatter it makes."""
     dense = fr._dense
 
-    def counted(matrix):
+    def counted(matrix, dtype=float):
         scatters.append(matrix)
-        return dense(matrix)
+        return dense(matrix, dtype)
 
     return counted
 
@@ -1039,9 +1040,9 @@ def test_t_in_one_coefficient_of_K_selects_dense_path(monkeypatch, key, index, e
         assert fr.solve_alternative(matrix).unique is True
 
 
-def _count_lu(monkeypatch):
-    """Count fr.lu_factor and fr.lu_solve calls from here on."""
-    calls = {"lu_factor": 0, "lu_solve": 0}
+def _count_calls(monkeypatch, *names):
+    """Count calls of each named fr function from here on."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counted(*args, _name=name, _call=getattr(fr, name), **kwargs):
@@ -1052,23 +1053,51 @@ def _count_lu(monkeypatch):
     return calls
 
 
+def _count_lu(monkeypatch):
+    """Count fr.lu_factor and fr.lu_solve calls from here on."""
+    return _count_calls(monkeypatch, "lu_factor", "lu_solve")
+
+
 CERTIFIED_CASES = [
     pytest.param("manufactured-wellposed", (33, 32), id="wellposed-33x32"),
     pytest.param("integral-coupling", (21, 20), id="integral-coupling-21x20"),
 ]
 
 
+def _record_lu_factor(monkeypatch):
+    """The dtype of each array fr.lu_factor factors from here on."""
+    dtypes, call = [], fr.lu_factor
+
+    def recorded(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return call(a, *args, **kwargs)
+
+    monkeypatch.setattr(fr, "lu_factor", recorded)
+    return dtypes
+
+
+def dsgesv_bound(matrix, u):
+    """LAPACK dsgesv's stopping test on |A u - rhs|_inf, as _refined takes it."""
+    a_norm = np.max(np.abs(matrix.A).sum(axis=1))
+    return math.sqrt(matrix.size) * np.finfo(float).eps * a_norm * np.max(np.abs(u))
+
+
 @pytest.mark.parametrize("case, shape", CERTIFIED_CASES)
 def test_certified_decision_makes_no_lu_solves(monkeypatch, case, shape):
     # sigma_min sits apart from the Gram's cluster at 1, so the Lanczos run
-    # for its smallest eigenvalue certifies it and A is not factored to
-    # decide; the unique solve then takes one LU and one lu_solve
+    # certifies it and A is not factored to decide; the unique solve then
+    # factors a float32 scatter once and refines against the CSR, in the
+    # solve and 2 steps, as the certificate's bound on the condition
+    # number predicts
     p, grid = one_block_case(case), gr.Grid(*shape)
     calls = _count_lu(monkeypatch)
+    dtypes = _record_lu_factor(monkeypatch)
     edges = fr.singular_spectrum(fr.assemble(p, grid), edges=True)
     assert calls == {"lu_factor": 0, "lu_solve": 0}
     report = fr.solve_alternative(fr.assemble(p, grid))
-    assert calls == {"lu_factor": 1, "lu_solve": 1}
+    assert calls == {"lu_factor": 1, "lu_solve": 1 + 2}
+    assert dtypes == [np.float32]
+    assert report.matrix.lu is None
     assert report.unique
     assert np.array_equal(report.sigma, edges)
 
@@ -1076,30 +1105,198 @@ def test_certified_decision_makes_no_lu_solves(monkeypatch, case, shape):
 @pytest.mark.parametrize("case, shape", CERTIFIED_CASES)
 def test_certified_and_inverse_runs_give_one_answer(monkeypatch, case, shape):
     # with the certificate refused, sigma_min comes from the inverse run on
-    # the LU factors; the solve reads the same LU of the same scatter
+    # the float64 LU factors, which the solve then reads; the certified
+    # solve refines a float32 LU to the same answer, to the round-off of
+    # either
     p, grid = one_block_case(case), gr.Grid(*shape)
     certified = fr.solve_alternative(fr.assemble(p, grid))
     monkeypatch.setattr(fr, "_certified", lambda *_: False)
     calls = _count_lu(monkeypatch)
     fallback = fr.solve_alternative(fr.assemble(p, grid))
     assert calls["lu_factor"] == 1 and calls["lu_solve"] > 1
-    assert np.array_equal(fallback.solution.values, certified.solution.values)
-    assert fallback.residual == certified.residual
+    u, v = certified.solution.values, fallback.solution.values
+    assert np.max(np.abs(u - v)) <= 1e-13 * (1.0 + np.max(np.abs(v)))
+    for report in (certified, fallback):
+        assert report.residual <= dsgesv_bound(report.matrix, report.solution.values)
     assert fallback.unique is certified.unique is True
     assert fallback.tau == certified.tau
     assert fallback.sigma[0] == certified.sigma[0]
     assert fallback.sigma_min == pytest.approx(certified.sigma_min, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("case", ["levy-pass", "breathing-example13"])
-def test_uncertified_decision_takes_the_inverse_run(monkeypatch, case):
-    # levy-pass's sigma_min sits in a cluster and breathing's is too small
-    # against sigma_max to certify: both are decided on the LU factors
-    matrix = fr.assemble(one_block_case(case), gr.Grid(17, 16))
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        pytest.param("levy-pass", (33, 32), id="levy-pass"),
+        pytest.param("breathing-example13", (17, 16), id="breathing-example13"),
+    ],
+)
+def test_uncertified_decision_takes_the_inverse_run(monkeypatch, case, shape):
+    # levy-pass's sigma_min sits in a cluster, out of the Lanczos budget's
+    # reach at 33 x 32, and breathing's is too small against sigma_max to
+    # certify: both are decided on the LU factors
+    matrix = fr.assemble(one_block_case(case), gr.Grid(*shape))
     calls = _count_lu(monkeypatch)
     edges = fr.singular_spectrum(matrix, edges=True)
     assert calls["lu_factor"] == 1 and calls["lu_solve"] >= 1
     np.testing.assert_allclose(edges, svdvals(matrix.A)[[0, -1]], rtol=1e-12, atol=0.0)
+
+
+def test_cluster_at_sigma_min_is_certified_on_a_coarse_grid(monkeypatch):
+    # levy-pass's cluster at sigma_min is resolved within the budget at
+    # 17 x 16, so A is not factored to decide
+    matrix = fr.assemble(problems.get_builtin("levy-pass"), gr.Grid(17, 16))
+    monkeypatch.setattr(fr, "lu_factor", _refuse_lu)
+    edges = fr.singular_spectrum(matrix, edges=True)
+    assert matrix.certified
+    np.testing.assert_allclose(edges, svdvals(matrix.A)[[0, -1]], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "case, shape, products, lu_pairs",
+    [
+        pytest.param(case, shape, products, lu_pairs, id=f"{case}-{shape[0]}x{shape[1]}")
+        for case, shape, products, lu_pairs in (
+            ("manufactured-wellposed", (17, 16), 40, 0),
+            ("manufactured-wellposed", (33, 32), 45, 0),
+            ("manufactured-wellposed", (65, 64), 50, 0),
+            ("integral-coupling", (21, 20), 55, 0),
+            ("breathing-example13", (17, 16), 40, 9),
+            ("breathing-example13", (33, 32), 70, 9),
+            ("levy-pass", (33, 32), 80, 33),
+        )
+    ],
+)
+def test_one_lanczos_run_decides_both_ends(monkeypatch, case, shape, products, lu_pairs):
+    # one run gives both ends of the Gram; where certification is out of
+    # reach it stops looking for sigma_min, and its smallest Ritz vector
+    # starts the inverse run
+    matrix = fr.assemble(one_block_case(case), gr.Grid(*shape))
+    # a Gram product is a pair of apply calls, an LU pair one of solve calls
+    calls = _count_calls(monkeypatch, "apply", "solve")
+    fr.singular_spectrum(matrix, edges=True)
+    assert calls["apply"] % 2 == 0 and calls["solve"] % 2 == 0
+    assert calls["apply"] // 2 <= products
+    assert calls["solve"] // 2 <= lu_pairs
+    assert matrix.certified is (lu_pairs == 0)
+
+
+@pytest.mark.parametrize("case", [*problems.BUILTINS, "t-free-volterra"])
+def test_smallest_grid_ends_with_a_verdict(case):
+    # at 3 x 4 the Krylov basis spans every direction within the budget:
+    # the run ends there as an exact invariant subspace, with the edges of
+    # the spectrum, and the alternative with a verdict
+    p = autonomous_case(case)
+    matrix = fr.assemble(p if case not in AUTONOMOUS else traced_twin(p), gr.Grid(3, 4))
+    assert matrix.period == 1 and matrix.size < fr.SMALLEST_BUDGET
+    s = svdvals(matrix.A)
+    edges = fr.singular_spectrum(matrix, edges=True)
+    np.testing.assert_allclose(edges, s[[0, -1]], rtol=1e-12, atol=0.0)
+    report = fr.solve_alternative(matrix)
+    assert report.unique is bool(s[-1] > report.tau)
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        *(
+            pytest.param(case, shape, id=f"{case}-{shape[0]}x{shape[1]}")
+            for case, shape in ONE_BLOCK_CASES
+            if case != "breathing-example13" and (case, shape) != ("levy-pass", (33, 32))
+        ),
+        pytest.param("integral-coupling-2", (21, 20), id="integral-coupling-2-21x20"),
+    ],
+)
+def test_single_precision_solve_matches_the_float64_lu(monkeypatch, case, shape):
+    # a certified A is solved on a float32 LU refined in float64; the
+    # float64 LU of the same A gives the same answer to round-off
+    if case == "integral-coupling-2":
+        p = pb.from_dict(runpy.run_path(str(WORKLOADS))["coupling_problem"](2)[0])
+    else:
+        p = one_block_case(case)
+    grid = gr.Grid(*shape)
+    dtypes = _record_lu_factor(monkeypatch)
+    report = fr.solve_alternative(fr.assemble(p, grid))
+    assert report.matrix.certified and dtypes == [np.float32]
+    matrix = fr.assemble(p, grid)
+    want = fr.lu_solve(fr.factor(matrix), matrix.rhs)
+    got = report.solution.values.reshape(-1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+    assert report.residual <= dsgesv_bound(matrix, got)
+
+
+def test_single_precision_solve_falls_back_past_float32_range(monkeypatch):
+    # A = 1e39 I is certified, but its entries overflow float32: it is
+    # solved on its float64 LU, and no float32 scatter is made
+    matrix = fr.assemble(build(a=["1+0*t"], f=["1"]), gr.Grid(9, 8))
+    assert matrix.period == 1
+    matrix.row0.data *= 1e39
+    dtypes = _record_lu_factor(monkeypatch)
+    report = fr.solve_alternative(matrix)
+    assert matrix.certified and report.unique
+    assert dtypes == [np.float64]
+    np.testing.assert_allclose(report.solution.values.reshape(-1), matrix.rhs / 1e39, rtol=1e-15)
+
+
+def test_single_precision_solve_falls_back_when_its_factors_overflow(monkeypatch):
+    # Wilkinson's matrix (unit diagonal, -1 below it, 1 in the last column)
+    # is well conditioned, 5.3 at N = 12, but partial pivoting doubles its
+    # last column at each step: scaled by 1e36, its entries fit float32
+    # and its float32 U does not, so it is solved on its float64 LU, with
+    # no warning
+    matrix = fr.assemble(build(a=["1+0*t"], f=["1"]), gr.Grid(3, 4))
+    assert matrix.period == 1 and matrix.size == 12
+    w = np.eye(12) - np.tril(np.ones((12, 12)), -1)
+    w[:, -1] = 1.0
+    matrix.row0 = csr_array(1e36 * w)
+    dtypes = _record_lu_factor(monkeypatch)
+    report = fr.solve_alternative(matrix)
+    assert matrix.certified and report.unique
+    assert dtypes == [np.float32, np.float64]
+    want = np.linalg.solve(1e36 * w, matrix.rhs)
+    np.testing.assert_allclose(report.solution.values.reshape(-1), want, rtol=1e-14)
+
+
+def test_single_precision_solve_falls_back_when_refinement_stalls(monkeypatch):
+    # with every float32 solve made to return zero the refinement never
+    # meets its test: after the solve and REFINE_STEPS steps the float32
+    # factors are dropped and A is solved on its float64 LU, bit for bit
+    p, grid = problems.get_builtin("manufactured-wellposed"), gr.Grid(17, 16)
+    matrix = fr.assemble(p, grid)
+    want = fr.lu_solve(fr.factor(matrix), matrix.rhs)
+    solve = fr.lu_solve
+
+    def stalled(lu_and_piv, b, *args, **kwargs):
+        if lu_and_piv[0].dtype == np.float32:
+            return np.zeros_like(b)
+        return solve(lu_and_piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(fr, "lu_solve", stalled)
+    dtypes = _record_lu_factor(monkeypatch)
+    calls = _count_lu(monkeypatch)
+    report = fr.solve_alternative(fr.assemble(p, grid))
+    assert report.matrix.certified
+    assert dtypes == [np.float32, np.float64]
+    assert calls["lu_solve"] == 1 + fr.REFINE_STEPS + 1
+    assert np.array_equal(report.solution.values.reshape(-1), want)
+
+
+def test_certified_solve_holds_half_a_float64_copy_of_A():
+    # the certified solve's one dense N x N is a float32 scatter, 4 N^2
+    # bytes, which its LU factors overwrite; the float64 one peaked at
+    # 1.02 x 8 N^2
+    p = problems.get_builtin("manufactured-wellposed")
+    fr.solve_alternative(fr.assemble(p, gr.Grid(9, 8)))
+    matrix = fr.assemble(p, gr.Grid(33, 32))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = fr.solve_alternative(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.matrix.certified and report.matrix.lu is None
+    assert peak <= 0.6 * 8 * matrix.size**2
 
 
 def test_sigma_table_of_a_well_posed_problem_factors_nothing(monkeypatch):
