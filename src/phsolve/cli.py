@@ -99,7 +99,13 @@ def _parse_exact(arg, n):
         raise ValidationError(
             f"--exact needs {n} comma-separated expressions, got {len(parts)}"
         )
-    return [ex.parse(s) for s in parts]
+    nodes = []
+    for position, part in enumerate(parts, start=1):
+        try:
+            nodes.append(ex.parse(part))
+        except (ex.LexError, ex.ParseError) as err:
+            raise ValidationError(str(err), f"--exact[{position}]") from err
+    return nodes
 
 
 def _write_json(outdir, name, payload):

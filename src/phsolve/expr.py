@@ -3,11 +3,14 @@
 Grammar (tightest first): ^ is right-associative, then unary minus, then
 * and /, then + and -.  So -x^2 means -(x^2).  Variables are exactly x and
 t, the constants pi and e are built in, and the unary functions sin, cos,
-tan, exp, log, sqrt, abs are known.  Number literals must be finite: one
-that overflows a float is refused by the lexer.  A tree deeper than
-MAX_DEPTH levels is refused by the parser: each parenthesis, function
-call, unary minus, exponent and binary operator on the deepest path
-counts one, so a long chain like x+x+...+x counts as deep as its
+tan, exp, log, sqrt, abs are known.  Digits and identifiers are ASCII: a
+number is digits with an optional fraction and exponent, an identifier a
+letter or _ followed by letters, digits or _, and any other character
+that is not whitespace is refused by the lexer.  Number literals must be
+finite: one that overflows a float is refused by the lexer.  A tree
+deeper than MAX_DEPTH levels is refused by the parser: each parenthesis,
+function call, unary minus, exponent and binary operator on the deepest
+path counts one, so a long chain like x+x+...+x counts as deep as its
 length.  The parser recurses on each nesting level, and the functions
 that walk a tree on each of its levels.
 
@@ -23,6 +26,7 @@ to zero is allowed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,12 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# the parser takes about five frames a nesting level, the tree walkers
+# binding strength, loosest first: parse climbs it and to_string brackets by it
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+# the parser takes at most four frames a nesting level (three through a
+# parenthesis or call, four where it is the right operand of + or -, one
+# through a unary minus or exponent), the tree walkers
 # (_eval, to_string, _diff, substitute) one a level, and a derivative is
 # at most about three times as deep as its tree, so this many stay well
 # inside Python's default recursion limit of 1000
@@ -117,194 +126,129 @@ class BinOp(Expr):
     right: Expr
 
 
+# one lexeme after any whitespace; anything else that is not whitespace
+# falls to "other", so consecutive matches tile the source.  A number's
+# fraction is its own group, so that a '.' with no digit after it is
+# refused there before the number's range is checked
+_LEXEME = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?P<fraction>\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])|(?P<paren>[()])|(?P<comma>,)"
+    r"|(?P<other>\S))"
+)
+
+
 def tokenize(source):
-    """Split source into tokens.  Whitespace separates; lexemes concatenate
-    back to the source otherwise."""
+    """Split source into tokens.  Whitespace (any Unicode space, tab and
+    no-break space included) separates; lexemes concatenate back to the
+    source otherwise."""
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                if i + 1 >= n or not source[i + 1].isdigit():
-                    raise LexError("malformed number: expected digit after '.'", i)
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            if not math.isfinite(float(source[start:i])):
-                raise LexError("number out of range", start)
-            tokens.append(Token("number", source[start:i], start))
-            continue
-        if ch == ".":
-            raise LexError("malformed number: expected digit before '.'", i)
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", source[start:i], start))
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(Token("paren", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("comma", ch, i))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
+    for match in _LEXEME.finditer(source):
+        kind = match.lastgroup
+        lexeme, pos = match[kind], match.start(kind)
+        if kind == "number":
+            if match["fraction"] == ".":
+                offset = match.start("fraction")
+                raise LexError("malformed number: expected digit after '.'", offset)
+            if not math.isfinite(float(lexeme)):
+                raise LexError("number out of range", pos)
+        elif kind == "other":
+            if lexeme == ".":
+                raise LexError("malformed number: expected digit before '.'", pos)
+            raise LexError(f"unexpected character {lexeme!r}", pos)
+        tokens.append(Token(kind, lexeme, pos))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, source_len):
-        self.tokens = tokens
+    """Precedence climbing over _PREC.  Each method returns (node, depth):
+    the levels (see the module docstring) of the deepest path through the
+    source it read."""
+
+    def __init__(self, source):
+        # a closing "end" token at the source's length marks end of input
+        self.tokens = [*tokenize(source), Token("end", "", len(source))]
         self.k = 0
-        self.source_len = source_len
-        self.nesting = 0  # the parse_unary calls open on the stack
+        self.nesting = 0  # the unary calls open on the stack
 
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def prec(self, tok):
+        return _PREC[tok.lexeme] if tok.kind == "op" else 0
 
     def fail(self, expected):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {expected}, found end of input", self.source_len)
-        raise ParseError(f"expected {expected}, found {tok.lexeme!r}", tok.pos)
+        tok = self.tokens[self.k]
+        found = "end of input" if tok.kind == "end" else repr(tok.lexeme)
+        raise ParseError(f"expected {expected}, found {found}", tok.pos)
 
-    def too_deep(self, tok):
-        offset = self.source_len if tok is None else tok.pos
-        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", offset)
+    def expect(self, lexeme, expected):
+        if self.tokens[self.k].lexeme != lexeme:
+            self.fail(expected)
+        self.k += 1
 
     def deeper(self, tok, *depths):
         """The depth of a level at tok over children of these depths; past
         MAX_DEPTH it is refused there."""
         depth = 1 + max(depths)
         if depth > MAX_DEPTH:
-            self.too_deep(tok)
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.pos)
         return depth
 
-    # each parse_* returns (node, depth): the levels (see the module
-    # docstring) of the deepest path through the source it read
+    def binary(self, prec):
+        """Left-associative operators from prec up to unary minus; the right
+        operand of each reads only tighter ones."""
+        node, depth = self.unary()
+        while prec <= self.prec(tok := self.tokens[self.k]) < _PREC["neg"]:
+            self.k += 1
+            tighter = _PREC[tok.lexeme] + 1
+            right, right_depth = self.unary() if tighter == _PREC["neg"] else self.binary(tighter)
+            node, depth = BinOp(tok.lexeme, node, right), self.deeper(tok, depth, right_depth)
+        return node, depth
 
-    def parse_sum(self):
-        node, depth = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.lexeme in "+-":
-                self.advance()
-                right, right_depth = self.parse_term()
-                node, depth = BinOp(tok.lexeme, node, right), self.deeper(tok, depth, right_depth)
-            else:
-                return node, depth
-
-    def parse_term(self):
-        node, depth = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.lexeme in "*/":
-                self.advance()
-                right, right_depth = self.parse_unary()
-                node, depth = BinOp(tok.lexeme, node, right), self.deeper(tok, depth, right_depth)
-            else:
-                return node, depth
-
-    def parse_unary(self):
+    def unary(self):
         # every level of nesting passes through here; it is refused before
         # the parser recurses into it
-        tok = self.peek()
-        if self.nesting == MAX_DEPTH:
-            self.too_deep(tok)
-        self.nesting += 1
-        if tok is not None and tok.kind == "op" and tok.lexeme == "-":
-            self.advance()
-            child, depth = self.parse_unary()
+        tok = self.tokens[self.k]
+        self.nesting = self.deeper(tok, self.nesting)
+        if tok.lexeme == "-":
+            self.k += 1
+            child, depth = self.unary()
             node = Neg(child)
         else:
-            node, depth = self.parse_power()
+            node, depth = self.atom(tok)
+            # an operator tighter than unary minus binds the atom before it,
+            # right-associatively: its right operand is again unary
+            power = self.tokens[self.k]
+            if self.prec(power) > _PREC["neg"]:
+                self.k += 1
+                exponent, exponent_depth = self.unary()
+                node, depth = BinOp(power.lexeme, node, exponent), max(depth, exponent_depth)
         self.nesting -= 1
         return node, self.deeper(tok, depth)
 
-    def parse_power(self):
-        base, depth = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.lexeme == "^":
-            self.advance()
-            # right-associative; the exponent may carry its own unary minus
-            exponent, exponent_depth = self.parse_unary()
-            return BinOp("^", base, exponent), max(depth, exponent_depth)
-        return base, depth
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok is None:
+    def atom(self, tok):
+        if tok.kind not in ("number", "ident") and tok.lexeme != "(":
             self.fail("a value")
+        self.k += 1
+        name = tok.lexeme
         if tok.kind == "number":
-            self.advance()
-            return Const(float(tok.lexeme)), 0
-        if tok.kind == "paren" and tok.lexeme == "(":
-            self.advance()
-            node = self.parse_sum()
-            closing = self.peek()
-            if closing is None or closing.lexeme != ")":
-                self.fail("')'")
-            self.advance()
-            return node
-        if tok.kind == "ident":
-            name = tok.lexeme
-            self.advance()
-            if name in ("x", "t"):
-                return Var(name), 0
-            if name in _CONSTANTS:
-                return Const(_CONSTANTS[name]), 0
-            if name in _FUNCTIONS:
-                opening = self.peek()
-                if opening is None or opening.lexeme != "(":
-                    self.fail(f"'(' after function {name!r}")
-                self.advance()
-                arg, depth = self.parse_sum()
-                closing = self.peek()
-                if closing is None or closing.lexeme != ")":
-                    self.fail("')'")
-                self.advance()
-                return Call(name, arg), depth
+            return Const(float(name)), 0
+        if name in ("x", "t"):
+            return Var(name), 0
+        if name in _CONSTANTS:
+            return Const(_CONSTANTS[name]), 0
+        if name in _FUNCTIONS:
+            self.expect("(", f"'(' after function {name!r}")
+        elif name != "(":
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
-        self.fail("a value")
+        node, depth = self.binary(_PREC["+"])
+        self.expect(")", "')'")
+        return (node if name == "(" else Call(name, node)), depth
 
 
 def parse(source):
     """Parse source into an expression tree.  Raises LexError or ParseError."""
-    tokens = tokenize(source)
-    parser = _Parser(tokens, len(source))
-    node, _ = parser.parse_sum()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(
-            f"expected operator or end of input, found {trailing.lexeme!r}", trailing.pos
-        )
+    parser = _Parser(source)
+    node, _ = parser.binary(_PREC["+"])
+    if parser.tokens[parser.k].kind != "end":
+        parser.fail("operator or end of input")
     return node
 
 
@@ -505,9 +449,6 @@ def substitute(node, var, replacement):
         substitute(node.left, var, replacement),
         substitute(node.right, var, replacement),
     )
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def _prec(node):

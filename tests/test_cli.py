@@ -383,6 +383,38 @@ def test_exact_empty_entry_exits_one(tmp_path, capsys, command, exact, position)
     assert f"entry {position} " in err[0]
 
 
+def test_exact_parse_error_names_its_entry(tmp_path, capsys):
+    # the offset counts from the stripped entry, so the entry is named too
+    argv = ["residual", "--builtin", "example13", "--nx", "5", "--nt", "4", "--exact", "sin(x),y+1"]
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --exact[2]: unknown identifier 'y' (offset 0)"]
+    assert not (tmp_path / "residual.json").exists()
+
+
+def test_non_ascii_digit_in_problem_file_exits_one(tmp_path, capsys):
+    # '²' passed str.isdigit and then failed float() with a bare ValueError
+    path = tmp_path / "digit.json"
+    data = to_dict(problems.pure_forcing())
+    data["f"] = ["x^\u00b2"]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = run(out, "solve", "--problem", str(path), "--nx", "9", "--nt", "8")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: f[1]: unexpected character '\u00b2' (offset 2)"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_ascii_digit_in_exact_exits_one(tmp_path, capsys):
+    # an Arabic-Indic three was read as 3, and the residual of 3*x reported
+    argv = ["residual", "--builtin", "pure-forcing", "--nx", "9", "--nt", "8"]
+    assert run(tmp_path, *argv, "--exact", "\u0663*x") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --exact[1]: unexpected character '\u0663' (offset 0)"]
+    assert not (tmp_path / "residual.json").exists()
+
+
 def test_usage_error_exits_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["solve"])  # neither --problem nor --builtin

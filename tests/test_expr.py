@@ -62,6 +62,42 @@ def test_tokenize_rejects_unknown_characters():
         ex.tokenize("x @ t")
 
 
+@pytest.mark.parametrize(
+    "source, where, offset",
+    [
+        ("1.5.3", "before", 3),
+        ("1e5.", "before", 3),
+        ("1.", "after", 1),
+        ("1.e5", "after", 1),
+        # the '.' is refused before the 400 digits are found out of range
+        ("9" * 400 + ".", "after", 400),
+    ],
+)
+def test_tokenize_refuses_a_dot_without_digits(source, where, offset):
+    with pytest.raises(ex.LexError, match=f"expected digit {where} '.'") as info:
+        ex.tokenize(source)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    # a superscript two passed str.isdigit and then failed float(); an
+    # Arabic-Indic three was read as 3; a non-ASCII letter began an identifier
+    [("x^\u00b2", 2), ("\u0663*x", 0), ("2*\u00e9", 2)],
+)
+def test_tokenize_refuses_non_ascii_digits_and_letters(source, offset):
+    with pytest.raises(ex.LexError, match="unexpected character") as info:
+        ex.tokenize(source)
+    assert info.value.offset == offset
+
+
+def test_tab_and_no_break_space_separate_tokens():
+    toks = ex.tokenize("sin\t(x)\u00a0^2")
+    assert [tok.lexeme for tok in toks] == ["sin", "(", "x", ")", "^", "2"]
+    assert [tok.pos for tok in toks] == [0, 4, 5, 6, 8, 9]
+    assert [tok.kind for tok in ex.tokenize("1\u00a02\t3")] == ["number"] * 3
+
+
 @pytest.mark.parametrize("source", [entry[0] for entry in CORPUS])
 def test_tokenize_lexemes_reconstruct_source(source):
     toks = ex.tokenize(source)
@@ -383,3 +419,21 @@ def test_printed_tree_tokenizes(tree):
     text = ex.to_string(tree)
     toks = ex.tokenize(text)
     assert "".join(tok.lexeme for tok in toks) == "".join(text.split())
+
+
+# a source over the token alphabet, with characters no token takes
+_lexemes = st.sampled_from(
+    ["x", "t", "pi", "e", "E", "sin", "exp", "_", "1", "25", "3.5", "1e3", "2E-1"]
+    + list("+-*/^(),. \t\u00a0@\u00b2\u00e9")
+)
+
+
+@given(st.lists(_lexemes, max_size=24).map("".join))
+def test_parse_returns_a_printable_tree_or_a_placed_error(source):
+    # no ValueError, IndexError or RecursionError escapes: those fail here
+    try:
+        tree = ex.parse(source)
+    except (ex.LexError, ex.ParseError) as err:
+        assert 0 <= err.offset <= len(source)
+    else:
+        assert ex.parse(ex.to_string(tree)) == tree
